@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 from .arithmetic import (
     Factorization,
     factorize,
-    gcd,
     is_prime,
     jacobi,
     mod_inverse,
-    mod_pow,
     trial_division,
     valuation,
 )
@@ -19,7 +17,6 @@ from .errors import ResiduoError
 from .oracle import (
     CrsOracle,
     OracleStats,
-    crs_query,
     make_definition_oracle,
     make_factor_oracle,
     make_zolotarev_oracle,
@@ -55,6 +52,7 @@ from .zolotarev import (
     multiplication_permutation,
     permutation_sign,
     product_permutation_sign,
+    restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,
 )

@@ -1,5 +1,5 @@
-"""Arbitrary-precision integer utilities: gcd, modular arithmetic, Jacobi
-symbol, primality testing and desk-scale factorization.
+"""Arbitrary-precision integer utilities: valuations, modular inverses, the
+Jacobi symbol, primality testing and desk-scale factorization.
 
 All functions are pure and operate on Python ints (nonnegative unless noted).
 """
@@ -50,17 +50,6 @@ class Factorization:
         for p, e in self.factors:
             out.extend([p] * e)
         return out
-
-
-def mod_pow(base, exponent, modulus):
-    """base**exponent mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exponent, modulus)
-
-
-def gcd(a, b):
-    return math.gcd(a, b)
 
 
 def valuation(n, b):
@@ -144,19 +133,26 @@ def trial_division(n, bound):
 
     Returns (found, cofactor) where found is a list of (prime, exponent)
     pairs in ascending order and the cofactor has no prime factor <= bound.
+    Division stops at d*d > n, where what is left is 1 or a prime.
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
     found = []
     d = 2
-    while d <= bound:
+    limit = min(bound, math.isqrt(n))
+    while d <= limit:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             found.append((d, e))
+            limit = min(bound, math.isqrt(n))
         d += 1 if d == 2 else 2
+    if 1 < n <= bound:
+        # n has no prime factor below d, and d*d > n or d > bound >= n.
+        found.append((n, 1))
+        n = 1
     return found, n
 
 

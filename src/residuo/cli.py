@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .arithmetic import is_prime
-from .errors import PreconditionViolated, ResiduoError
+from .errors import InvalidInput, PreconditionViolated, ResiduoError
 from .oracle import (
     make_definition_oracle,
     make_factor_oracle,
@@ -69,9 +69,12 @@ def _effective_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise InvalidInput(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _cmd_symbol(args):

@@ -1,8 +1,16 @@
 """The CRS(k) oracle abstraction: something that answers 2^k-th power
 residue symbol queries (m|n)_{2^k}, with call accounting.
 
-Three interchangeable implementations are provided: the factoring oracle
-(Euler criterion over the factorization of n; the reference), the
+Every route shares one contract, kept by `CrsOracle.crs_query`: k >= 1,
+n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
+factorized once per oracle and cached, and a query whose level-(k-1)
+symbol is -1 at some prime of n raises `PreconditionViolated` with
+`prime` set to that prime of n and `level` (<= k-1) to a level at which m
+is not a 2^level-th power residue mod `prime`: the lowest such level in
+the factor route, k-1 in the other two.
+
+The routes differ only in how a well-posed query is evaluated: the factor
+oracle (Euler criterion over the factorization of n; the reference), the
 definition oracle (exhaustive solvability search per prime; the
 independent cross-check), and the Zolotarev oracle (permutation signs for
 prime and semiprime moduli; the third route).
@@ -13,7 +21,13 @@ import threading
 from dataclasses import dataclass, field
 
 from .arithmetic import Factorization, factorize, is_prime
-from .errors import InvalidInput, NotAdmissibleModulus, NotCoprime, SearchSpaceTooLarge
+from .errors import (
+    InvalidInput,
+    NotAdmissibleModulus,
+    NotCoprime,
+    PreconditionViolated,
+    SearchSpaceTooLarge,
+)
 from .symbols import symbol_composite, symbol_prime_definition
 from .zolotarev import zolotarev_prime, zolotarev_semiprime
 
@@ -55,11 +69,21 @@ class OracleStats:
 
 
 class CrsOracle:
-    """Base class: validates queries, keeps stats, delegates evaluation."""
+    """Validates queries, keeps stats and the factorization cache, and
+    delegates evaluation to the route's `_evaluate(m, n, k)`.
 
-    def __init__(self):
+    `known` factorizations seed the cache; they are checked to be prime
+    factorizations unless `trusted_factorizations` is set.
+    """
+
+    def __init__(self, known=None, trusted_factorizations=False):
         self.stats = OracleStats()
         self._lock = threading.Lock()
+        self._cache = {}
+        for fact in known or ():
+            if not trusted_factorizations:
+                _verify_factorization(fact)
+            self._cache[fact.value] = fact
 
     def crs_query(self, m, n, k):
         if k < 1:
@@ -76,37 +100,14 @@ class CrsOracle:
         with self._lock:
             self.stats = OracleStats()
 
-    def _evaluate(self, m, n, k):
-        raise NotImplementedError
-
-
-def crs_query(oracle, m, n, k):
-    return oracle.crs_query(m, n, k)
-
-
-class FactorOracle(CrsOracle):
-    """Factorizes n (or looks it up in a supplied table) and evaluates the
-    composite symbol via the Euler criterion.  Precondition violations are
-    detected and raised, modeling the well-definedness clause."""
-
-    def __init__(self, known=None, trusted_factorizations=False):
-        super().__init__()
-        self._cache = {}
-        if known:
-            for fact in known:
-                if not trusted_factorizations:
-                    _verify_factorization(fact)
-                self._cache[fact.value] = fact
-
     def _factorization(self, n):
         fact = self._cache.get(n)
         if fact is None:
-            fact = factorize(n)
-            self._cache[n] = fact
+            fact = self._cache[n] = factorize(n)
         return fact
 
     def _evaluate(self, m, n, k):
-        return symbol_composite(m, self._factorization(n), k)
+        raise NotImplementedError
 
 
 def _verify_factorization(fact: Factorization):
@@ -117,44 +118,41 @@ def _verify_factorization(fact: Factorization):
         raise InvalidInput("exponents must be positive")
 
 
-class DefinitionOracle(CrsOracle):
-    """Evaluates every prime-level symbol by exhaustive solvability search.
-    Exists purely as an independent cross-check of the Euler route."""
-
-    def __init__(self):
-        super().__init__()
-        self._cache = {}
+class FactorOracle(CrsOracle):
+    """The composite symbol via the Euler criterion, preconditions checked
+    per prime and level."""
 
     def _evaluate(self, m, n, k):
-        fact = self._cache.get(n)
-        if fact is None:
-            fact = factorize(n)
-            self._cache[n] = fact
+        return symbol_composite(m, self._factorization(n), k)
+
+
+class DefinitionOracle(CrsOracle):
+    """Every prime-level symbol by exhaustive solvability search; exists
+    purely as an independent cross-check of the Euler route."""
+
+    def _evaluate(self, m, n, k):
         result = 1
-        for p, e in fact.factors:
+        for p, e in self._factorization(n).factors:
+            # Checked at even multiplicity too, as symbol_composite does.
+            if symbol_prime_definition(m, p, k - 1) != 1:
+                raise PreconditionViolated(
+                    f"(m|{p}) at level 2^{k - 1} is -1", prime=p, level=k - 1
+                )
             if e % 2 == 1:
                 result *= symbol_prime_definition(m, p, k)
         return result
 
 
 class ZolotarevOracle(CrsOracle):
-    """Answers via restricted permutation signs; supports prime and
-    distinct-odd-prime semiprime moduli up to the enumeration limit."""
+    """Restricted permutation signs; supports prime and distinct-odd-prime
+    semiprime moduli up to the enumeration limit."""
 
     LIMIT = 10**5
-
-    def __init__(self):
-        super().__init__()
-        self._cache = {}
 
     def _evaluate(self, m, n, k):
         if n > self.LIMIT:
             raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
-        fact = self._cache.get(n)
-        if fact is None:
-            fact = factorize(n)
-            self._cache[n] = fact
-        factors = fact.factors
+        factors = self._factorization(n).factors
         if len(factors) == 1 and factors[0][1] == 1:
             return zolotarev_prime(m, factors[0][0], k)
         if (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .arithmetic import is_prime, jacobi, mod_inverse, valuation
 from .errors import InvalidInput, NotCoprime, SearchExhausted
 from .symbols import residue_set
-from .zolotarev import _indexed_set, _restricted_sign
+from .zolotarev import restricted_sign
 
 DEFAULT_FLOOR = 50
 DEFAULT_TRIAL_CAP = 128
@@ -310,10 +310,7 @@ def qrp_decide_permutation(N, a):
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
     _check_qrp_input(N, a)
-    members, pos = _indexed_set(N, 1, True)
-    return QrpVerdict(
-        _restricted_sign(a * a % N, N, members, pos) == 1, "corollary_c3"
-    )
+    return QrpVerdict(restricted_sign(a * a, N, 1, True) == 1, "corollary_c3")
 
 
 def qrp_bruteforce(N, a):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .arithmetic import factorize, is_prime, jacobi, valuation
+from .errors import InvalidInput
 from .oracle import (
     make_definition_oracle,
     make_factor_oracle,
@@ -334,45 +335,31 @@ def sweep_probabilistic_two_squares(
     return report
 
 
+SUITES = {
+    "euler": sweep_euler,
+    "stabilization": sweep_stabilization,
+    "t3": sweep_t3,
+    "t5": lambda max_n, max_k: sweep_t5(max_k, product_bound=max_n),
+    "jacobi": lambda max_n, _: sweep_classical_zolotarev(max_n),
+    "counterexample": lambda max_n, _: sweep_counterexample(max_n),
+    "l2": lambda max_n, _: sweep_valuation_lemma(max_n),
+    "a1": lambda max_n, _: sweep_valuation_algorithm(max_n),
+    "qrp": lambda max_n, _: sweep_qrp(max_n),
+    "two_squares": lambda max_n, _: sweep_two_squares(max_n),
+    "l4": lambda max_n, _: sweep_lemma_l4(max_n),
+    "agreement": sweep_oracle_agreement,
+    "probabilistic": lambda max_n, _: (
+        sweep_probabilistic_two_squares()
+        if max_n > 0
+        else SuiteReport("probabilistic")
+    ),
+}
+ALL_SUITES = tuple(SUITES)
+
+
 def run_suites(names, max_n, max_k):
     """CLI entry: run the named sweeps with shared size bounds."""
-    registry = {
-        "euler": lambda: sweep_euler(max_n, max_k),
-        "stabilization": lambda: sweep_stabilization(max_n, max_k),
-        "t3": lambda: sweep_t3(max_n, max_k),
-        "t5": lambda: sweep_t5(max_k, product_bound=max_n),
-        "jacobi": lambda: sweep_classical_zolotarev(max_n),
-        "counterexample": lambda: sweep_counterexample(max_n),
-        "l2": lambda: sweep_valuation_lemma(max_n),
-        "a1": lambda: sweep_valuation_algorithm(max_n),
-        "qrp": lambda: sweep_qrp(max_n),
-        "two_squares": lambda: sweep_two_squares(max_n),
-        "l4": lambda: sweep_lemma_l4(max_n),
-        "agreement": lambda: sweep_oracle_agreement(max_n, max_k),
-        "probabilistic": lambda: (
-            sweep_probabilistic_two_squares()
-            if max_n > 0
-            else SuiteReport("probabilistic")
-        ),
-    }
-    unknown = [s for s in names if s not in registry]
+    unknown = [s for s in names if s not in SUITES]
     if unknown:
-        raise KeyError(f"unknown suites: {', '.join(unknown)}")
-    return [registry[name]() for name in names]
-
-
-ALL_SUITES = (
-    "euler",
-    "stabilization",
-    "t3",
-    "t5",
-    "jacobi",
-    "counterexample",
-    "l2",
-    "a1",
-    "qrp",
-    "two_squares",
-    "l4",
-    "agreement",
-    "probabilistic",
-)
+        raise InvalidInput(f"unknown suites: {', '.join(unknown)}")
+    return [SUITES[name](max_n, max_k) for name in names]

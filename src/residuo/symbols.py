@@ -48,6 +48,9 @@ def _power_image(n, k, units_only):
     k-1 image (each squaring step shrinks or preserves the set)."""
     if n > ENUMERATION_LIMIT:
         raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
+    if k > n.bit_length():
+        # The image stops shrinking once 2^k exceeds n.
+        return _power_image(n, n.bit_length(), units_only)
     if k == 0:
         if units_only:
             return frozenset(x for x in range(n) if math.gcd(x, n) == 1)
@@ -93,7 +96,7 @@ def symbol_prime_euler(a, p, k):
         raise NotCoprime(f"p = {p} divides a = {a}")
     if p == 2:
         return 1
-    r = pow(a, (p - 1) // math.gcd(1 << k, p - 1), p)
+    r = pow(a, (p - 1) >> min(k, valuation(p - 1, 2)), p)
     if r == 1:
         return 1
     if r == p - 1:
@@ -106,17 +109,29 @@ def symbol_prime_euler(a, p, k):
 
 
 def symbol_prime_checked(a, p, k):
-    """(a|p)_{2^k} with the level-(k-1) precondition verified by descending
-    recursion down to k = 1, where it is vacuous."""
+    """(a|p)_{2^k} with the level-(k-1) precondition verified.
+
+    With v = nu_2(p-1), one power r = a^((p-1)/2^min(k, v)) decides both:
+    r = 1 gives +1 and r = -1 with k <= v gives -1, since every lower level
+    is then +1; anything else is a violation, reported at the lowest level
+    where the symbol is -1.  Levels above v equal level v.
+    """
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     if k == 0 or p == 2:
         return 1
-    if k > 1 and symbol_prime_checked(a, p, k - 1) != 1:
-        raise PreconditionViolated(
-            f"(a|{p}) at level 2^{k - 1} is -1", prime=p, level=k - 1
-        )
-    return symbol_prime_euler(a, p, k)
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    v = valuation(p - 1, 2)
+    r = pow(a, (p - 1) >> min(k, v), p)
+    if r == 1:
+        return 1
+    if r == p - 1 and k <= v:
+        return -1
+    level = next(j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1)
+    raise PreconditionViolated(
+        f"(a|{p}) at level 2^{level} is -1", prime=p, level=level
+    )
 
 
 def symbol_composite(a, n_fact: Factorization, k):

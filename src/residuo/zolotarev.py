@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arithmetic import is_prime, jacobi
+from .arithmetic import is_prime, jacobi, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -109,6 +109,14 @@ def _restricted_sign(a, n, members, pos):
     return _cycle_sign(nxt)
 
 
+def restricted_sign(a, n, k, units_only):
+    """Sign of x -> a*x mod n on the 2^k-th power residues mod n (over the
+    units only or over all residues); raises NotClosedUnderAction when a
+    does not preserve that set."""
+    members, pos = _indexed_set(n, k, units_only)
+    return _restricted_sign(a % n, n, members, pos)
+
+
 def zolotarev_prime(a, p, k):
     """(a|p)_{2^k} as the sign of multiplication-by-a restricted to the
     level-(k-1) unit residue set mod p."""
@@ -120,8 +128,7 @@ def zolotarev_prime(a, p, k):
         raise PreconditionViolated(
             f"(a|{p}) at level 2^{k - 1} is -1", prime=p, level=k - 1
         )
-    members, pos = _indexed_set(p, k - 1, True)
-    return _restricted_sign(a % p, p, members, pos)
+    return restricted_sign(a, p, k - 1, True)
 
 
 def zolotarev_semiprime(m, p, q, k):
@@ -142,9 +149,8 @@ def zolotarev_semiprime(m, p, q, k):
             raise PreconditionViolated(
                 f"(m|{r}) at level 2^{k - 1} is -1", prime=r, level=k - 1
             )
-    units_only = n % (1 << k) != 1
-    members, pos = _indexed_set(n, k - 1, units_only)
-    return _restricted_sign(m % n, n, members, pos)
+    # N = 1 mod 2^k exactly when nu_2(N - 1) >= k.
+    return restricted_sign(m, n, k - 1, valuation(n - 1, 2) < k)
 
 
 def product_permutation_sign(signs, sizes):
@@ -195,11 +201,9 @@ def find_tripleprime_counterexample(limit):
             )
             if sym != -1:
                 continue
-            mem_u, pos_u = _indexed_set(n, 1, True)
-            mem_f, pos_f = _indexed_set(n, 1, False)
             if (
-                _restricted_sign(m, n, mem_u, pos_u) == 1
-                and _restricted_sign(m, n, mem_f, pos_f) == 1
+                restricted_sign(m, n, 1, True) == 1
+                and restricted_sign(m, n, 1, False) == 1
             ):
                 return n, m
     return None

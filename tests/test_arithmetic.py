@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from residuo.arithmetic import (
     factorize,
-    gcd,
     is_prime,
     jacobi,
     mod_inverse,
-    mod_pow,
     trial_division,
     valuation,
 )
@@ -19,40 +17,6 @@ from residuo.errors import (
     NotInvertible,
     UndefinedValuation,
 )
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(4, 3, 13) == 12
-        assert mod_pow(7, 0, 10) == 1
-        assert mod_pow(0, 5, 7) == 0
-
-    def test_small_modulus_rejected(self):
-        with pytest.raises(InvalidModulus):
-            mod_pow(2, 3, 1)
-
-    @given(
-        st.integers(0, 100), st.integers(0, 100), st.integers(2, 1000)
-    )
-    def test_agrees_with_naive(self, base, exp, mod):
-        naive = 1
-        for _ in range(exp):
-            naive = naive * base % mod
-        assert mod_pow(base, exp, mod) == naive
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(12, 18) == 6
-        assert gcd(1, 997) == 1
-        assert gcd(65, 39) == 13
-        assert gcd(0, 0) == 0
-
-    @given(st.integers(0, 10**9), st.integers(0, 10**9))
-    def test_divides_both(self, a, b):
-        g = gcd(a, b)
-        if g:
-            assert a % g == 0 and b % g == 0
 
 
 class TestValuation:
@@ -150,6 +114,8 @@ class TestTrialDivision:
         assert trial_division(65, 10) == ([(5, 1)], 13)
         assert trial_division(11021, 50) == ([], 11021)
         assert trial_division(8, 2) == ([(2, 3)], 1)
+        assert trial_division(2 * 9973, 10**4) == ([(2, 1), (9973, 1)], 1)
+        assert trial_division(2 * 10007, 10**4) == ([(2, 1)], 10007)
 
     def test_reconstructs_and_strips(self):
         for n in range(1, 2000):

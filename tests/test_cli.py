@@ -36,6 +36,13 @@ class TestSymbol:
         )
         assert result == {"symbol": -1}
 
+    @pytest.mark.parametrize("method", ["euler", "definition", "factor", "zolotarev"])
+    def test_large_k(self, capsys, method):
+        result = run_json(
+            capsys, "symbol", "--a", "3", "--n", "13", "--k", "5000", "--method", method
+        )
+        assert result == {"symbol": 1}
+
     def test_precondition_violation_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol", "--a", "2", "--n", "13", "--k", "2")
         assert code == 2
@@ -127,6 +134,12 @@ class TestSelftest:
         data = run_json(capsys, "selftest", "--max-n", "0")
         assert all(s["cases"] == 0 for s in data["suites"])
 
+    def test_unknown_suite_exits_1(self, capsys):
+        code, out, err = run(capsys, "selftest", "--suites", "bogus")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown suites: bogus")
+
 
 class TestRunRecord:
     def test_record_roundtrip(self, capsys):
@@ -159,6 +172,15 @@ class TestRunRecord:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 7
+
+    def test_bad_seed_env_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESIDUO_SEED", "abc")
+        code, out, err = run(
+            capsys, "two-squares", "--n", "65", "--mode", "probabilistic",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: RESIDUO_SEED")
 
     def test_stdout_is_single_json_line(self, capsys):
         code, out, _ = run(capsys, "qrp", "--n", "39", "--a", "10")

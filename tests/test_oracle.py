@@ -9,15 +9,16 @@ from residuo.errors import (
     InvalidInput,
     NotAdmissibleModulus,
     NotCoprime,
+    PreconditionViolated,
     SearchSpaceTooLarge,
 )
 from residuo.oracle import (
     OracleStats,
-    crs_query,
     make_definition_oracle,
     make_factor_oracle,
     make_zolotarev_oracle,
 )
+from residuo.symbols import symbol_prime_definition
 
 ALL_FACTORIES = (make_factor_oracle, make_definition_oracle, make_zolotarev_oracle)
 
@@ -26,13 +27,28 @@ ALL_FACTORIES = (make_factor_oracle, make_definition_oracle, make_zolotarev_orac
 class TestSharedContract:
     def test_examples(self, factory):
         oracle = factory()
-        assert crs_query(oracle, 3, 65, 1) == -1
-        assert crs_query(oracle, 1, 77, 2) == 1
-        assert crs_query(oracle, 4, 15, 2) == -1
+        assert oracle.crs_query(3, 65, 1) == -1
+        assert oracle.crs_query(1, 77, 2) == 1
+        assert oracle.crs_query(4, 15, 2) == -1
 
     def test_not_coprime(self, factory):
         with pytest.raises(NotCoprime):
             factory().crs_query(5, 65, 1)
+
+    @pytest.mark.parametrize("m, n, k", [(2, 13, 2), (2, 39, 2), (2, 9, 2)])
+    def test_inadmissible_query_rejected(self, factory, m, n, k):
+        # 2 is a quadratic nonresidue mod 3 and mod 13, so each (2|n)_4 is
+        # ill-posed; the Zolotarev route rejects the prime power 9 by shape.
+        if factory is make_zolotarev_oracle and n == 9:
+            with pytest.raises(NotAdmissibleModulus):
+                factory().crs_query(m, n, k)
+            return
+        with pytest.raises(PreconditionViolated) as info:
+            factory().crs_query(m, n, k)
+        prime, level = info.value.prime, info.value.level
+        assert n % prime == 0
+        assert 1 <= level <= k - 1
+        assert symbol_prime_definition(m, prime, level) == -1
 
     def test_k1_is_jacobi(self, factory):
         oracle = factory()

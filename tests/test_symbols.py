@@ -13,6 +13,7 @@ from residuo.symbols import (
     residue_set,
     symbol_composite,
     symbol_power_shortcut,
+    symbol_prime_checked,
     symbol_prime_definition,
     symbol_prime_euler,
     symbol_stabilized,
@@ -63,6 +64,24 @@ class TestEuler:
                     assert symbol_prime_euler(a, p, k) == symbol_prime_definition(
                         a, p, k
                     )
+
+
+class TestChecked:
+    def test_matches_definition(self):
+        for p in PRIMES_200:
+            for k in range(1, 9):
+                for a in range(1, p):
+                    failing = [
+                        j for j in range(1, k)
+                        if symbol_prime_definition(a, p, j) == -1
+                    ]
+                    if not failing:
+                        expected = symbol_prime_definition(a, p, k)
+                        assert symbol_prime_checked(a, p, k) == expected
+                        continue
+                    with pytest.raises(PreconditionViolated) as info:
+                        symbol_prime_checked(a, p, k)
+                    assert (info.value.prime, info.value.level) == (p, failing[0])
 
 
 class TestComposite:
@@ -190,6 +209,15 @@ class TestResidueSet:
             "units_only": True,
             "members": ["1", "4"],
         }
+
+    def test_clamped_above_bit_length(self):
+        # Enumerated directly, so the clamp inside residue_set is checked.
+        for n in range(1, 1000):
+            for units in (True, False):
+                xs = [x for x in range(n) if not units or math.gcd(x, n) == 1]
+                for k in range(n.bit_length() + 1, n.bit_length() + 4):
+                    expected = tuple(sorted({pow(x, 1 << k, n) for x in xs}))
+                    assert residue_set(n, k, units).members == expected
 
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
