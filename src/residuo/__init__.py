@@ -39,6 +39,7 @@ from .reductions import (
 )
 from .symbols import (
     ResidueClassSet,
+    power_residues,
     residue_set,
     symbol_composite,
     symbol_power_shortcut,

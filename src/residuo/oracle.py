@@ -5,9 +5,8 @@ Every route shares one contract, kept by `CrsOracle.crs_query`: k >= 1,
 n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
 factorized once per oracle and cached, and a query whose level-(k-1)
 symbol is -1 at some prime of n raises `PreconditionViolated` with
-`prime` set to that prime of n and `level` (<= k-1) to a level at which m
-is not a 2^level-th power residue mod `prime`: the lowest such level in
-the factor route, k-1 in the other two.
+`prime` set to that prime of n and `level` (<= k-1) to the lowest level
+at which m is not a 2^level-th power residue mod `prime`.
 
 The routes differ only in how a well-posed query is evaluated: the factor
 oracle (Euler criterion over the factorization of n; the reference), the
@@ -25,10 +24,9 @@ from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
     NotCoprime,
-    PreconditionViolated,
     SearchSpaceTooLarge,
 )
-from .symbols import symbol_composite, symbol_prime_definition
+from .symbols import require_admissible, symbol_composite, symbol_prime_definition
 from .zolotarev import zolotarev_prime, zolotarev_semiprime
 
 
@@ -134,10 +132,7 @@ class DefinitionOracle(CrsOracle):
         result = 1
         for p, e in self._factorization(n).factors:
             # Checked at even multiplicity too, as symbol_composite does.
-            if symbol_prime_definition(m, p, k - 1) != 1:
-                raise PreconditionViolated(
-                    f"(m|{p}) at level 2^{k - 1} is -1", prime=p, level=k - 1
-                )
+            require_admissible(m, p, k)
             if e % 2 == 1:
                 result *= symbol_prime_definition(m, p, k)
         return result

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arithmetic import is_prime, jacobi, mod_inverse, valuation
 from .errors import InvalidInput, NotCoprime, SearchExhausted
-from .symbols import residue_set
+from .symbols import power_residues
 from .zolotarev import restricted_sign
 
 DEFAULT_FLOOR = 50
@@ -221,8 +221,11 @@ def semiprime_valuations(
     s_i = (a^(2^(i-1))|N)_{2^i} for i = 1..v; the first +1 at position j
     means both valuations equal j-1.  Otherwise v_small = v and Steps 4/5
     locate v_large with a second witness b.
+
+    A prime or perfect-square N is rejected before any query; a product of
+    three or more primes is not detected.
     """
-    if N < 9 or N % 2 == 0:
+    if N < 9 or N % 2 == 0 or is_prime(N) or math.isqrt(N) ** 2 == N:
         raise InvalidInput(f"N must be an odd semiprime, got {N}")
     start = oracle.stats.snapshot()
     v = valuation(N - 1, 2)
@@ -315,8 +318,7 @@ def qrp_decide_permutation(N, a):
 
 def qrp_bruteforce(N, a):
     """Exhaustive squareness test; the independent check for the suite."""
-    squares = residue_set(N, 1, True)
-    return QrpVerdict(a % N in set(squares.members), "bruteforce")
+    return QrpVerdict(a % N in power_residues(N, 1, True), "bruteforce")
 
 
 def _check_qrp_input(N, a):

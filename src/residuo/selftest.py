@@ -29,7 +29,6 @@ from .reductions import (
     valuation_relation,
 )
 from .symbols import (
-    _power_image,
     residue_set,
     symbol_composite,
     symbol_prime_definition,
@@ -78,7 +77,7 @@ def _primes_upto(bound):
 
 def _admissible(a, p, k):
     # Level-(k-1) precondition of the symbol at prime p.
-    return p == 2 or a % p in _power_image(p, k - 1, True)
+    return symbol_prime_definition(a, p, k - 1) == 1
 
 
 def sweep_euler(prime_bound, max_k):
@@ -240,11 +239,10 @@ def sweep_qrp(n_bound):
     for n, p, q in _odd_semiprimes(n_bound):
         if valuation(p - 1, 2) == valuation(q - 1, 2):
             continue
-        squares = _power_image(n, 1, True)
         for a in range(1, n):
             if jacobi(a, n) != 1:
                 continue
-            truth = a in squares
+            truth = qrp_bruteforce(n, a).is_residue
             ok = qrp_decide(n, a, oracle).is_residue is truth
             if ok and n % 4 == 3:
                 ok = (

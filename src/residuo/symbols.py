@@ -59,13 +59,19 @@ def _power_image(n, k, units_only):
     return frozenset(x * x % n for x in prev)
 
 
-def residue_set(n, k, units_only):
-    """Exact enumeration of the 2^k-th power residues mod n."""
+def power_residues(n, k, units_only):
+    """Frozenset of the 2^k-th power residues mod n, over the units only or
+    over all residues; enumerated once per (n, k, units_only) and cached."""
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
     if k < 0:
         raise InvalidInput(f"k must be >= 0, got {k}")
-    return ResidueClassSet(n, k, units_only, tuple(sorted(_power_image(n, k, units_only))))
+    return _power_image(n, k, units_only)
+
+
+def residue_set(n, k, units_only):
+    """The 2^k-th power residues mod n as a sorted ResidueClassSet."""
+    return ResidueClassSet(n, k, units_only, tuple(sorted(power_residues(n, k, units_only))))
 
 
 def symbol_prime_definition(a, p, k):
@@ -81,6 +87,17 @@ def symbol_prime_definition(a, p, k):
     if k == 0 or p == 2:
         return 1
     return 1 if a % p in _power_image(p, k, True) else -1
+
+
+def require_admissible(a, p, k):
+    """Raise PreconditionViolated unless (a|p)_{2^(k-1)} = +1, decided by
+    enumeration; the error names the lowest level at which a is not a
+    2^level-th power residue mod p."""
+    if symbol_prime_definition(a, p, k - 1) != 1:
+        level = next(j for j in range(1, k) if symbol_prime_definition(a, p, j) != 1)
+        raise PreconditionViolated(
+            f"(a|{p}) at level 2^{level} is -1", prime=p, level=level
+        )
 
 
 def symbol_prime_euler(a, p, k):

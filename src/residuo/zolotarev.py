@@ -9,7 +9,6 @@ counterexample is included.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arithmetic import is_prime, jacobi, valuation
 from .errors import (
@@ -18,11 +17,11 @@ from .errors import (
     NotAPermutation,
     NotClosedUnderAction,
     NotCoprime,
-    PreconditionViolated,
 )
 from .symbols import (
     ResidueClassSet,
-    residue_set,
+    power_residues,
+    require_admissible,
     symbol_prime_definition,
 )
 
@@ -54,12 +53,6 @@ def permutation_sign(perm: PermutationTable):
         nxt = [pos[y] for y in image]
     except KeyError as exc:
         raise NotAPermutation(f"image value {exc.args[0]} not in domain") from None
-    return _cycle_sign(nxt)
-
-
-def _cycle_sign(nxt):
-    # nxt[i] is the position domain[i] maps to; raises if not a bijection.
-    n = len(nxt)
     visited = bytearray(n)
     cycles = 0
     for i in range(n):
@@ -92,29 +85,35 @@ def multiplication_permutation(a, n, rset: ResidueClassSet):
     return PermutationTable(members, tuple(image))
 
 
-@lru_cache(maxsize=4096)
-def _indexed_set(n, k, units_only):
-    members = residue_set(n, k, units_only).members
-    return members, {x: i for i, x in enumerate(members)}
-
-
-def _restricted_sign(a, n, members, pos):
-    # Sign of x -> a*x mod n on an a-invariant set, one pass, no table object.
+def _restricted_sign(a, n, members, left):
+    # Sign of x -> a*x mod n on `members` for a unit a: each cycle is walked
+    # by removing its points from `left`, a working copy of `members`, and a
+    # point missing from `left` has left the set.
+    remove = left.remove
+    cycles = 0
     try:
-        nxt = [pos[a * x % n] for x in members]
+        while left:
+            start = left.pop()
+            cycles += 1
+            x = a * start % n
+            while x != start:
+                remove(x)
+                x = a * x % n
     except KeyError:
         raise NotClosedUnderAction(
             f"multiplication by {a} leaves the set mod {n}"
         ) from None
-    return _cycle_sign(nxt)
+    return -1 if (len(members) - cycles) & 1 else 1
 
 
 def restricted_sign(a, n, k, units_only):
     """Sign of x -> a*x mod n on the 2^k-th power residues mod n (over the
-    units only or over all residues); raises NotClosedUnderAction when a
-    does not preserve that set."""
-    members, pos = _indexed_set(n, k, units_only)
-    return _restricted_sign(a % n, n, members, pos)
+    units only or over all residues); raises NotCoprime when a is not a
+    unit and NotClosedUnderAction when a does not preserve that set."""
+    if math.gcd(a, n) != 1:
+        raise NotCoprime(f"gcd({a}, {n}) > 1")
+    members = power_residues(n, k, units_only)
+    return _restricted_sign(a % n, n, members, set(members))
 
 
 def zolotarev_prime(a, p, k):
@@ -124,10 +123,7 @@ def zolotarev_prime(a, p, k):
         raise InvalidInput(f"k must be >= 1, got {k}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
-    if symbol_prime_definition(a, p, k - 1) != 1:
-        raise PreconditionViolated(
-            f"(a|{p}) at level 2^{k - 1} is -1", prime=p, level=k - 1
-        )
+    require_admissible(a, p, k)
     return restricted_sign(a, p, k - 1, True)
 
 
@@ -145,10 +141,7 @@ def zolotarev_semiprime(m, p, q, k):
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) > 1")
     for r in (p, q):
-        if symbol_prime_definition(m, r, k - 1) != 1:
-            raise PreconditionViolated(
-                f"(m|{r}) at level 2^{k - 1} is -1", prime=r, level=k - 1
-            )
+        require_admissible(m, r, k)
     # N = 1 mod 2^k exactly when nu_2(N - 1) >= k.
     return restricted_sign(m, n, k - 1, valuation(n - 1, 2) < k)
 

@@ -96,8 +96,17 @@ class TestSemiprimeBits:
         assert data["v_small"] == 1 and data["v_large"] == 2
 
     def test_search_exhausted_exits_1(self, capsys):
-        code, _, _ = run(capsys, "semiprime-bits", "--n", "25", "--trial-cap", "5")
+        # jacobi(2, 15) = +1, so one trial finds no nonresidue.
+        code, _, err = run(capsys, "semiprime-bits", "--n", "15", "--trial-cap", "1")
         assert code == 1
+        assert "no quadratic nonresidue" in err
+
+    @pytest.mark.parametrize("n", ["13", "9"])
+    def test_prime_or_square_exits_1(self, capsys, n):
+        code, out, err = run(capsys, "semiprime-bits", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert "odd semiprime" in err
 
 
 class TestQrp:

@@ -50,6 +50,12 @@ class TestSharedContract:
         assert 1 <= level <= k - 1
         assert symbol_prime_definition(m, prime, level) == -1
 
+    def test_lowest_failing_level(self, factory):
+        # 2 is a quadratic nonresidue mod 13, so (2|13)_8 fails at level 1.
+        with pytest.raises(PreconditionViolated) as info:
+            factory().crs_query(2, 13, 3)
+        assert (info.value.prime, info.value.level) == (13, 1)
+
     def test_k1_is_jacobi(self, factory):
         oracle = factory()
         for n in (15, 21, 35, 97):

@@ -148,9 +148,16 @@ class TestSemiprimeValuations:
             semiprime_valuations(38, make_factor_oracle())
 
     def test_trial_cap_exhaustion(self):
-        # A perfect square has no quadratic nonresidue with Jacobi -1.
+        # jacobi(2, 15) = +1, so one trial finds no nonresidue.
         with pytest.raises(SearchExhausted):
-            semiprime_valuations(25, make_factor_oracle(), trial_cap=10)
+            semiprime_valuations(15, make_factor_oracle(), trial_cap=1)
+
+    @pytest.mark.parametrize("n", [13, 9, 25, 10007])
+    def test_rejects_prime_and_square(self, n):
+        oracle = make_factor_oracle()
+        with pytest.raises(InvalidInput):
+            semiprime_valuations(n, oracle)
+        assert oracle.stats.calls_total == 0
 
 
 class TestRecoverLowBits:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from residuo.zolotarev import (
     multiplication_permutation,
     permutation_sign,
     product_permutation_sign,
+    restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,
 )
@@ -86,6 +88,32 @@ class TestMultiplicationPermutation:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             multiplication_permutation(3, 15, residue_set(15, 1, True))
+
+
+class TestRestrictedSign:
+    def test_matches_permutation_sign(self):
+        # The set walk against the literal permutation the theorem names.
+        for n in range(1, 200):
+            for k in range(4):
+                for units_only in (True, False):
+                    rset = residue_set(n, k, units_only)
+                    for a in rset.members:
+                        if math.gcd(a, n) != 1:
+                            continue
+                        table = multiplication_permutation(a, n, rset)
+                        assert restricted_sign(a, n, k, units_only) == permutation_sign(
+                            table
+                        ), (a, n, k, units_only)
+
+    def test_not_coprime(self):
+        with pytest.raises(NotCoprime):
+            restricted_sign(3, 15, 0, False)
+        with pytest.raises(NotCoprime):
+            restricted_sign(0, 7, 0, False)
+
+    def test_not_invariant(self):
+        with pytest.raises(NotClosedUnderAction):
+            restricted_sign(2, 15, 1, True)
 
 
 class TestZolotarevPrime:
