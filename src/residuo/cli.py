@@ -163,8 +163,15 @@ def _natural(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is bad input: exit 1 with `error: ...`, not argparse's 2,
+    # which this CLI reserves for a precondition violation.
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="residuo",
         description="Rational 2^k-th power residue symbols, Zolotarev "
         "permutation signs, and CRS-oracle reductions.",
@@ -250,9 +257,9 @@ def _emit(args, result, oracle, started):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         result, oracle = args.func(args)
     except PreconditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ Symbols take values in {+1, -1}, represented as plain ints.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
-from .arithmetic import Factorization, jacobi, valuation
+from .arithmetic import Factorization, factorize, jacobi, valuation
 from .errors import (
     InvalidInput,
     NotCoprime,
@@ -44,24 +45,37 @@ class ResidueClassSet:
 
 @lru_cache(maxsize=16384)
 def _power_image(n, k, units_only):
-    """Frozenset of 2^k-th powers mod n, obtained by squaring the level
-    k-1 image (each squaring step shrinks or preserves the set)."""
+    """Membership mask of the 2^k-th powers mod n: `bytes` of length n whose
+    byte x is 1 exactly when x is in the image, so a set costs n bytes.
+
+    Level 0 is every residue, or the units found by zeroing the multiples of
+    each prime factor of n.  Level 1 squares only x <= n/2, since level 0 is
+    closed under x -> n - x and (n - x)^2 = x^2; each higher level squares
+    the members of the level below (each squaring shrinks or keeps the set).
+    """
     if n > ENUMERATION_LIMIT:
         raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
     if k > n.bit_length():
         # The image stops shrinking once 2^k exceeds n.
         return _power_image(n, n.bit_length(), units_only)
     if k == 0:
+        mask = bytearray(b"\x01") * n
         if units_only:
-            return frozenset(x for x in range(n) if math.gcd(x, n) == 1)
-        return frozenset(range(n))
+            for p in factorize(n).primes():
+                mask[::p] = bytes(len(range(0, n, p)))
+        return bytes(mask)
     prev = _power_image(n, k - 1, units_only)
-    return frozenset(x * x % n for x in prev)
+    mask = bytearray(n)
+    for x in compress(range(n // 2 + 1 if k == 1 else n), prev):
+        mask[x * x % n] = 1
+    return bytes(mask)
 
 
 def power_residues(n, k, units_only):
-    """Frozenset of the 2^k-th power residues mod n, over the units only or
-    over all residues; enumerated once per (n, k, units_only) and cached."""
+    """Membership mask of the 2^k-th power residues mod n, over the units
+    only or over all residues: `bytes` of length n, so `mask[a % n]` is 1
+    exactly when a is in the set.  Enumerated once per (n, k, units_only)
+    and cached."""
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
     if k < 0:
@@ -71,7 +85,8 @@ def power_residues(n, k, units_only):
 
 def residue_set(n, k, units_only):
     """The 2^k-th power residues mod n as a sorted ResidueClassSet."""
-    return ResidueClassSet(n, k, units_only, tuple(sorted(power_residues(n, k, units_only))))
+    mask = power_residues(n, k, units_only)
+    return ResidueClassSet(n, k, units_only, tuple(compress(range(n), mask)))
 
 
 def symbol_prime_definition(a, p, k):
@@ -86,7 +101,7 @@ def symbol_prime_definition(a, p, k):
         raise SearchSpaceTooLarge(f"p = {p} exceeds enumeration limit")
     if k == 0 or p == 2:
         return 1
-    return 1 if a % p in _power_image(p, k, True) else -1
+    return 1 if _power_image(p, k, True)[a % p] else -1
 
 
 def require_admissible(a, p, k):

@@ -86,34 +86,41 @@ def multiplication_permutation(a, n, rset: ResidueClassSet):
 
 
 def _restricted_sign(a, n, members, left):
-    # Sign of x -> a*x mod n on `members` for a unit a: each cycle is walked
-    # by removing its points from `left`, a working copy of `members`, and a
-    # point missing from `left` has left the set.
-    remove = left.remove
+    # Sign of x -> a*x mod n on the set with mask `members`, for a unit a
+    # already known to map that set onto itself: each cycle is walked by
+    # clearing its points in `left`, a working copy of the mask, and the
+    # next cycle starts at the first point still set.
+    find = left.find
     cycles = 0
-    try:
-        while left:
-            start = left.pop()
-            cycles += 1
-            x = a * start % n
-            while x != start:
-                remove(x)
-                x = a * x % n
-    except KeyError:
-        raise NotClosedUnderAction(
-            f"multiplication by {a} leaves the set mod {n}"
-        ) from None
-    return -1 if (len(members) - cycles) & 1 else 1
+    start = find(1)
+    while start >= 0:
+        cycles += 1
+        left[start] = 0
+        x = a * start % n
+        while x != start:
+            left[x] = 0
+            x = a * x % n
+        start = find(1, start + 1)
+    return -1 if (members.count(1) - cycles) & 1 else 1
 
 
 def restricted_sign(a, n, k, units_only):
     """Sign of x -> a*x mod n on the 2^k-th power residues mod n (over the
     units only or over all residues); raises NotCoprime when a is not a
-    unit and NotClosedUnderAction when a does not preserve that set."""
+    unit and NotClosedUnderAction when a does not preserve that set.
+
+    The set is a power image, so it holds 1 and is closed under products:
+    a unit a maps it onto itself exactly when a is a member, which is
+    checked once on the cached mask before the walk."""
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
     members = power_residues(n, k, units_only)
-    return _restricted_sign(a % n, n, members, set(members))
+    a %= n
+    if not members[a]:
+        raise NotClosedUnderAction(
+            f"multiplication by {a} leaves the set mod {n}"
+        )
+    return _restricted_sign(a, n, members, bytearray(members))
 
 
 def zolotarev_prime(a, p, k):

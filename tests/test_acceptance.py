@@ -7,6 +7,8 @@ criterion.
 
 import time
 
+import pytest
+
 from residuo.oracle import make_definition_oracle
 from residuo.selftest import (
     sweep_classical_zolotarev,
@@ -23,6 +25,8 @@ from residuo.selftest import (
     sweep_valuation_lemma,
 )
 from residuo.zolotarev import find_tripleprime_counterexample
+
+pytestmark = pytest.mark.acceptance
 
 
 def _gate(criterion, budget_s, fn):

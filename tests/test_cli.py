@@ -55,6 +55,24 @@ class TestSymbol:
         assert out == ""
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("symbol", "--a", "3", "--n", "13", "--k", "notanint"), ("bogus",)],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+
 class TestSubgroup:
     def test_examples(self, capsys):
         data = run_json(capsys, "subgroup", "--n", "15", "--k", "1", "--units")

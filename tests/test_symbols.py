@@ -219,6 +219,17 @@ class TestResidueSet:
                     expected = tuple(sorted({pow(x, 1 << k, n) for x in xs}))
                     assert residue_set(n, k, units).members == expected
 
+    def test_matches_direct_enumeration(self):
+        # The unit sieve, the half-range level 1 and the clamp against every
+        # x^(2^k) mod n, squared point by point with no set in between.
+        for n in range(1, 1500):
+            for units in (True, False):
+                powers = [x for x in range(n) if not units or math.gcd(x, n) == 1]
+                for k in range(13):
+                    expected = tuple(sorted(set(powers)))
+                    assert residue_set(n, k, units).members == expected, (n, k, units)
+                    powers = [x * x % n for x in powers]
+
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
             residue_set(10**6 + 1, 1, True)
