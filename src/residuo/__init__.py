@@ -10,6 +10,7 @@ from .arithmetic import (
     is_prime,
     jacobi,
     mod_inverse,
+    primes_upto,
     trial_division,
     valuation,
 )

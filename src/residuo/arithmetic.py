@@ -1,12 +1,19 @@
 """Arbitrary-precision integer utilities: valuations, modular inverses, the
-Jacobi symbol, primality testing and desk-scale factorization.
+Jacobi symbol, primality testing, prime lists and desk-scale factorization.
 
 All functions are pure and operate on Python ints (nonnegative unless noted).
+The primes below 2^16 come from one sieve, built on first use and then kept.
+`primes_upto` reads its lists from it. `trial_division` tests n against all
+the primes it needs at once, with one gcd against their product: the
+primorial of the primes below 2^j, for the least j that covers min(bound,
+sqrt(n)), each of the 17 built at most once.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     FactorizationTimeout,
@@ -24,6 +31,10 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_EXTRA_ROUNDS = 64
 
 _RHO_ITERATION_CAP = 10**7
+
+# Primes below this bound come from the one cached sieve; above it,
+# `primes_upto` sieves afresh and `trial_division` steps odd d.
+_SIEVE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,8 @@ def valuation(n, b):
         raise UndefinedValuation("valuation of 0 is undefined")
     if b < 2:
         raise InvalidInput(f"valuation base must be >= 2, got {b}")
+    if b == 2:
+        return (n & -n).bit_length() - 1
     k = 0
     while n % b == 0:
         n //= b
@@ -128,17 +141,76 @@ def is_prime(n):
     return True
 
 
+def _prime_mask(bound):
+    """Byte mask of length bound + 1 >= 2 whose byte x is 1 exactly when x
+    is prime (sieve of Eratosthenes by slice assignment)."""
+    mask = bytearray(b"\x01") * (bound + 1)
+    mask[0] = mask[1] = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if mask[p]:
+            mask[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return mask
+
+
+@functools.cache
+def _small_prime_mask():
+    # Read-only, since every caller shares it.
+    return bytes(_prime_mask(_SIEVE_LIMIT - 1))
+
+
+@functools.cache
+def _primorial(bits):
+    """The product of the primes below 2^bits, bits <= 16: the one below
+    times the primes in [2^(bits-1), 2^bits). The full chain holds 17
+    values, about 23 KB together."""
+    if bits < 2:
+        return 1
+    lo = 1 << (bits - 1)
+    block = compress(range(lo, 2 * lo), _small_prime_mask()[lo : 2 * lo])
+    return _primorial(bits - 1) * math.prod(block)
+
+
+def primes_upto(bound):
+    """All primes p <= bound, ascending.
+
+    Bounds below 2^16 read the cached sieve; a larger bound sieves afresh
+    and keeps nothing.
+    """
+    if bound < 2:
+        return []
+    mask = _small_prime_mask() if bound < _SIEVE_LIMIT else _prime_mask(bound)
+    return list(compress(range(bound + 1), mask))
+
+
 def trial_division(n, bound):
     """Strip all prime factors <= bound from n with multiplicity.
 
     Returns (found, cofactor) where found is a list of (prime, exponent)
     pairs in ascending order and the cofactor has no prime factor <= bound.
-    Division stops at d*d > n, where what is left is 1 or a prime.
+    One gcd of n against a primorial of the cached primes names the primes
+    below 2^16 that divide n, and only those are divided out; above 2^16
+    odd d are tried in turn. Division stops at d*d > n, where what is left
+    is 1 or a prime.
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
     found = []
-    d = 2
+    # Only primes up to top need a test: past sqrt(n) what is left is 1 or
+    # a prime, and past bound nothing is stripped.
+    top = min(bound, math.isqrt(n), _SIEVE_LIMIT - 1)
+    g = math.gcd(n, _primorial(top.bit_length())) if top > 1 else 1
+    if g > 1:
+        for p in compress(range(bound + 1), _small_prime_mask()):
+            if g == 1 or p * p > n:
+                break
+            if g % p == 0:
+                g //= p
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                found.append((p, e))
+    d = _SIEVE_LIMIT + 1
     limit = min(bound, math.isqrt(n))
     while d <= limit:
         if n % d == 0:
@@ -148,9 +220,9 @@ def trial_division(n, bound):
                 e += 1
             found.append((d, e))
             limit = min(bound, math.isqrt(n))
-        d += 1 if d == 2 else 2
+        d += 2
     if 1 < n <= bound:
-        # n has no prime factor below d, and d*d > n or d > bound >= n.
+        # Every prime factor of n is above min(bound, sqrt(n)) = sqrt(n).
         found.append((n, 1))
         n = 1
     return found, n
@@ -175,7 +247,7 @@ def _rho_split(n, budget):
                 m = min(128, r - k)
                 for _ in range(m):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 budget[0] -= m
                 if budget[0] <= 0:
                     raise FactorizationTimeout(
@@ -189,7 +261,7 @@ def _rho_split(n, budget):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise FactorizationTimeout(f"rho failed to split {n}")

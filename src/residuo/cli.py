@@ -157,9 +157,15 @@ class _SelftestFailure(ResiduoError):
 
 
 def _natural(text):
-    value = int(text)
+    # argparse names a ValueError by the converter's __name__; say it plainly.
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+        raise argparse.ArgumentTypeError(
+            f"invalid nonnegative integer value: {text!r}"
+        )
     return value
 
 

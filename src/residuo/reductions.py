@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arithmetic import is_prime, jacobi, mod_inverse, valuation
+from .arithmetic import is_prime, jacobi, mod_inverse, primes_upto, valuation
 from .errors import InvalidInput, NotCoprime, SearchExhausted
 from .symbols import power_residues
 from .zolotarev import restricted_sign
@@ -108,8 +108,7 @@ def candidate_prime_set(N, floor=DEFAULT_FLOOR):
     forward direction of the criterion.
     """
     bound = max(wedeniwski_bound(N) if N >= 3 else 0.0, floor)
-    limit = math.ceil(bound)
-    return [p for p in range(2, limit) if p < bound and is_prime(p)]
+    return primes_upto(math.ceil(bound) - 1)
 
 
 def _two_squares_witness(N):

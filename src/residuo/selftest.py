@@ -10,7 +10,7 @@ in ascending order).
 from dataclasses import dataclass, field
 from math import gcd
 
-from .arithmetic import factorize, is_prime, jacobi, valuation
+from .arithmetic import factorize, jacobi, primes_upto, valuation
 from .errors import InvalidInput
 from .oracle import (
     make_definition_oracle,
@@ -71,10 +71,6 @@ class SuiteReport:
         }
 
 
-def _primes_upto(bound):
-    return [p for p in range(2, bound + 1) if is_prime(p)]
-
-
 def _admissible(a, p, k):
     # Level-(k-1) precondition of the symbol at prime p.
     return symbol_prime_definition(a, p, k - 1) == 1
@@ -83,7 +79,7 @@ def _admissible(a, p, k):
 def sweep_euler(prime_bound, max_k):
     """Euler criterion vs exhaustive definition on all admissible (a, p, k)."""
     report = SuiteReport("euler")
-    for p in _primes_upto(prime_bound):
+    for p in primes_upto(prime_bound):
         for k in range(1, max_k + 1):
             for a in range(1, p):
                 if not _admissible(a, p, k):
@@ -98,7 +94,7 @@ def sweep_euler(prime_bound, max_k):
 def sweep_stabilization(prime_bound, max_k):
     """Unit residue sets stabilize at level nu_2(p-1)."""
     report = SuiteReport("stabilization")
-    for p in _primes_upto(prime_bound):
+    for p in primes_upto(prime_bound):
         if p == 2:
             continue
         m = valuation(p - 1, 2)
@@ -113,7 +109,7 @@ def sweep_stabilization(prime_bound, max_k):
 def sweep_t3(prime_bound, max_k):
     """Prime Zolotarev: permutation sign vs exhaustive definition."""
     report = SuiteReport("t3")
-    for p in _primes_upto(prime_bound):
+    for p in primes_upto(prime_bound):
         if p == 2:
             continue
         for k in range(1, max_k + 1):
@@ -132,7 +128,7 @@ def sweep_t5(max_k, prime_bound=None, product_bound=None):
     p < q with q <= prime_bound and/or pq <= product_bound."""
     report = SuiteReport("t5")
     top = prime_bound if prime_bound is not None else (product_bound or 0) // 3
-    primes = [p for p in _primes_upto(top) if p != 2]
+    primes = [p for p in primes_upto(top) if p != 2]
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             n = p * q
@@ -190,7 +186,7 @@ def sweep_valuation_lemma(prime_bound, bases=(2, 3, 5, 7)):
     """Valuation relation between p-1, q-1 and pq-1, and the strict
     inequality for base 2 when the factor valuations coincide."""
     report = SuiteReport("l2")
-    primes = [p for p in _primes_upto(prime_bound) if p != 2]
+    primes = [p for p in primes_upto(prime_bound) if p != 2]
     for b in bases:
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
@@ -205,7 +201,7 @@ def sweep_valuation_lemma(prime_bound, bases=(2, 3, 5, 7)):
 
 
 def _odd_semiprimes(n_bound):
-    primes = [p for p in _primes_upto(n_bound // 3) if p != 2]
+    primes = [p for p in primes_upto(n_bound // 3) if p != 2]
     pairs = []
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

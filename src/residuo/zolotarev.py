@@ -10,7 +10,7 @@ counterexample is included.
 import math
 from dataclasses import dataclass
 
-from .arithmetic import is_prime, jacobi, valuation
+from .arithmetic import is_prime, jacobi, primes_upto, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -178,7 +178,7 @@ def find_tripleprime_counterexample(limit):
 
     Returns None when no such pair exists up to the limit.
     """
-    primes = [p for p in range(3, limit // 5 + 1) if is_prime(p)]
+    primes = primes_upto(limit // 5)
     p3 = [p for p in primes if p % 4 == 3]
     p1 = [p for p in primes if p % 4 == 1]
     moduli = sorted(

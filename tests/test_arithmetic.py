@@ -3,11 +3,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from residuo import arithmetic
 from residuo.arithmetic import (
     factorize,
     is_prime,
     jacobi,
     mod_inverse,
+    primes_upto,
     trial_division,
     valuation,
 )
@@ -109,6 +111,27 @@ class TestFactorize:
             factorize(0)
 
 
+def _odd_d_trial_division(n, bound):
+    # The literal reference: try d = 2, then every odd d, stopping at
+    # d*d > n; a cofactor 1 < n <= bound left over is prime.
+    found = []
+    d = 2
+    limit = min(bound, math.isqrt(n))
+    while d <= limit:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            found.append((d, e))
+            limit = min(bound, math.isqrt(n))
+        d += 1 if d == 2 else 2
+    if 1 < n <= bound:
+        found.append((n, 1))
+        n = 1
+    return found, n
+
+
 class TestTrialDivision:
     def test_examples(self):
         assert trial_division(65, 10) == ([(5, 1)], 13)
@@ -126,6 +149,40 @@ class TestTrialDivision:
                     product *= p**e
                 assert product == n
                 assert all(cofactor % d for d in range(2, bound + 1))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 97, 10**4, 10**5])
+    def test_matches_odd_d(self, bound):
+        for n in range(1, 20000):
+            assert trial_division(n, bound) == _odd_d_trial_division(n, bound)
+
+    def test_past_the_sieve(self):
+        n = 10007 * 1000003
+        assert trial_division(n, 10**7) == ([(10007, 1), (1000003, 1)], 1)
+        for n, bound in [
+            (65537 * 1000003, 10**7),
+            (65537**2 * 65539, 10**5),
+            (65521 * 65537 * 70001, 70000),
+            (3**5 * 65537 * 1000003, 65536),
+        ]:
+            assert trial_division(n, bound) == _odd_d_trial_division(n, bound)
+
+    def test_caches_stay_bounded(self):
+        primes_upto(2**16 + 500)
+        trial_division(65537 * 1000003, 10**7)
+        assert len(arithmetic._small_prime_mask()) == 2**16
+        # One primorial per bit length of the covered bound, 0 to 16.
+        assert arithmetic._primorial.cache_info().currsize <= 17
+
+
+class TestPrimesUpto:
+    def test_small_bounds(self):
+        reference = [p for p in range(3000) if is_prime(p)]
+        for b in range(-2, 3000):
+            assert primes_upto(b) == [p for p in reference if p <= b]
+
+    @pytest.mark.parametrize("b", [2**16 - 1, 2**16, 2**16 + 500])
+    def test_around_sieve_limit(self, b):
+        assert primes_upto(b) == [p for p in range(b + 1) if is_prime(p)]
 
 
 class TestModInverse:

@@ -66,6 +66,12 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_type_error_names_no_private_converter(self, capsys):
+        code, _, err = run(capsys, "symbol", "--a", "3", "--n", "13", "--k", "notanint")
+        assert code == 1
+        assert "_natural" not in err
+        assert "--k" in err and "nonnegative integer" in err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
