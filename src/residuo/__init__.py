@@ -44,8 +44,8 @@ from .symbols import (
     residue_set,
     symbol_composite,
     symbol_power_shortcut,
+    symbol_prime_checked,
     symbol_prime_definition,
-    symbol_prime_euler,
     symbol_stabilized,
 )
 from .zolotarev import (

@@ -55,12 +55,13 @@ class Factorization:
         """Distinct primes, ascending."""
         return [p for p, _ in self.factors]
 
-    def with_multiplicity(self):
-        """Primes repeated according to their exponents."""
-        out = []
-        for p, e in self.factors:
-            out.extend([p] * e)
-        return out
+    def odd_semiprime(self):
+        """(p, q) when the value is p*q for distinct odd primes p < q, the
+        shape the reductions and the semiprime Zolotarev theorem need;
+        None otherwise."""
+        if [e for _, e in self.factors] == [1, 1] and self.factors[0][0] != 2:
+            return self.factors[0][0], self.factors[1][0]
+        return None
 
 
 def valuation(n, b):

@@ -3,13 +3,16 @@ residue symbol queries (m|n)_{2^k}, with call accounting.
 
 Every route shares one contract, kept by `CrsOracle.crs_query`: k >= 1,
 n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
-factorized once per oracle and cached, and a query whose level-(k-1)
+factorized once per oracle and cached (the public `factorization(n)`,
+which the reductions also read to refuse a modulus outside their promise
+without spending a query), and a query whose level-(k-1)
 symbol is -1 at some prime of n raises `PreconditionViolated` with
 `prime` set to that prime of n and `level` (<= k-1) to the lowest level
 at which m is not a 2^level-th power residue mod `prime`.
 
 The routes differ only in how a well-posed query is evaluated: the factor
-oracle (Euler criterion over the factorization of n; the reference), the
+oracle (the Euler criterion, `symbol_prime_checked`, at each prime of n;
+the reference), the
 definition oracle (exhaustive solvability search per prime; the
 independent cross-check), and the Zolotarev oracle (permutation signs for
 prime and semiprime moduli; the third route).
@@ -70,17 +73,16 @@ class CrsOracle:
     """Validates queries, keeps stats and the factorization cache, and
     delegates evaluation to the route's `_evaluate(m, n, k)`.
 
-    `known` factorizations seed the cache; they are checked to be prime
-    factorizations unless `trusted_factorizations` is set.
+    `known` factorizations seed the cache; each is checked to be a prime
+    factorization.
     """
 
-    def __init__(self, known=None, trusted_factorizations=False):
+    def __init__(self, known=None):
         self.stats = OracleStats()
         self._lock = threading.Lock()
         self._cache = {}
         for fact in known or ():
-            if not trusted_factorizations:
-                _verify_factorization(fact)
+            _verify_factorization(fact)
             self._cache[fact.value] = fact
 
     def crs_query(self, m, n, k):
@@ -98,7 +100,9 @@ class CrsOracle:
         with self._lock:
             self.stats = OracleStats()
 
-    def _factorization(self, n):
+    def factorization(self, n):
+        """The cached prime factorization of n; computing it counts no
+        query."""
         fact = self._cache.get(n)
         if fact is None:
             fact = self._cache[n] = factorize(n)
@@ -121,7 +125,7 @@ class FactorOracle(CrsOracle):
     per prime and level."""
 
     def _evaluate(self, m, n, k):
-        return symbol_composite(m, self._factorization(n), k)
+        return symbol_composite(m, self.factorization(n), k)
 
 
 class DefinitionOracle(CrsOracle):
@@ -130,7 +134,7 @@ class DefinitionOracle(CrsOracle):
 
     def _evaluate(self, m, n, k):
         result = 1
-        for p, e in self._factorization(n).factors:
+        for p, e in self.factorization(n).factors:
             # Checked at even multiplicity too, as symbol_composite does.
             require_admissible(m, p, k)
             if e % 2 == 1:
@@ -144,26 +148,27 @@ class ZolotarevOracle(CrsOracle):
 
     LIMIT = 10**5
 
-    def _evaluate(self, m, n, k):
+    def factorization(self, n):
+        # The limit comes first, so no n beyond it is ever factorized, not
+        # even by a reduction's promise check.
         if n > self.LIMIT:
             raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
-        factors = self._factorization(n).factors
-        if len(factors) == 1 and factors[0][1] == 1:
-            return zolotarev_prime(m, factors[0][0], k)
-        if (
-            len(factors) == 2
-            and factors[0][1] == 1
-            and factors[1][1] == 1
-            and factors[0][0] != 2
-        ):
-            return zolotarev_semiprime(m, factors[0][0], factors[1][0], k)
-        raise NotAdmissibleModulus(
-            f"n = {n} is neither prime nor a distinct-odd-prime semiprime"
-        )
+        return super().factorization(n)
+
+    def _evaluate(self, m, n, k):
+        fact = self.factorization(n)
+        if fact.factors == ((n, 1),):
+            return zolotarev_prime(m, n, k)
+        pq = fact.odd_semiprime()
+        if pq is None:
+            raise NotAdmissibleModulus(
+                f"n = {n} is neither prime nor a distinct-odd-prime semiprime"
+            )
+        return zolotarev_semiprime(m, *pq, k)
 
 
-def make_factor_oracle(trusted_factorizations=False, known=None):
-    return FactorOracle(known=known, trusted_factorizations=trusted_factorizations)
+def make_factor_oracle(known=None):
+    return FactorOracle(known=known)
 
 
 def make_definition_oracle():

@@ -2,6 +2,13 @@
 low bits of semiprime factors, and quadratic residuosity, each phrased as a
 handful of CRS(k) queries against an injected oracle.
 
+The semiprime reductions hold only for N = pq with p, q distinct odd
+primes, and Theorem T4 also needs nu_2(p-1) != nu_2(q-1).  Each reduction
+refuses an N outside its promise with `InvalidInput` before its first
+query: the shape is read from `oracle.factorization(N)`, which counts no
+query, and decides only whether to refuse; every answer still comes from
+oracle queries.
+
 Also the supporting utilities: the (ERH-conditional) least-nonresidue bound,
 trial-division preprocessing, and the valuation relation between the factors
 and the modulus.
@@ -11,9 +18,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arithmetic import is_prime, jacobi, mod_inverse, primes_upto, valuation
-from .errors import InvalidInput, NotCoprime, SearchExhausted
-from .symbols import power_residues
+from .arithmetic import (
+    factorize,
+    jacobi,
+    mod_inverse,
+    primes_upto,
+    trial_division,
+    valuation,
+)
+from .errors import InvalidInput, NotCoprime, SearchExhausted, SearchSpaceTooLarge
+from .symbols import ENUMERATION_LIMIT, power_residues
 from .zolotarev import restricted_sign
 
 DEFAULT_FLOOR = 50
@@ -82,14 +96,6 @@ class ValuationRelation:
     v_N: int
     relation: str
 
-    def to_json(self):
-        return {
-            "v_p": self.v_p,
-            "v_q": self.v_q,
-            "v_N": self.v_N,
-            "relation": self.relation,
-        }
-
 
 def wedeniwski_bound(N):
     """ERH bound on the least quadratic nonresidue:
@@ -157,12 +163,8 @@ def two_squares_oracle(
         raise InvalidInput(f"unknown mode {mode!r}")
     method = "oracle_" + mode
     candidates = candidate_prime_set(N, floor)
-    rest = N
-    for p in candidates:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
+    found, rest = trial_division(N, max(candidates, default=1))
+    for p, e in found:
         if p % 4 == 3 and e % 2 == 1:
             return TwoSquaresVerdict(False, method, certificate=p)
     if rest == 1:
@@ -221,11 +223,10 @@ def semiprime_valuations(
     means both valuations equal j-1.  Otherwise v_small = v and Steps 4/5
     locate v_large with a second witness b.
 
-    A prime or perfect-square N is rejected before any query; a product of
-    three or more primes is not detected.
+    Any N that is not a product of two distinct odd primes is refused with
+    `InvalidInput` before any query, read from `oracle.factorization(N)`.
     """
-    if N < 9 or N % 2 == 0 or is_prime(N) or math.isqrt(N) ** 2 == N:
-        raise InvalidInput(f"N must be an odd semiprime, got {N}")
+    _odd_semiprime(N, oracle.factorization(N))
     start = oracle.stats.snapshot()
     v = valuation(N - 1, 2)
     for a in _search_candidates(N, search, trial_cap, seed):
@@ -290,8 +291,14 @@ def recover_low_bits(N, v_small, v_large):
 
 def qrp_decide(N, a, oracle):
     """Squareness of a mod N (semiprime with distinct factor valuations)
-    by one CRS query at level nu_2(N-1) + 1."""
-    _check_qrp_input(N, a)
+    by one CRS query at level nu_2(N-1) + 1.  Theorem T4's promise is
+    checked on `oracle.factorization(N)` before the query."""
+    p, q = _check_qrp_input(N, a, oracle.factorization(N))
+    if valuation(p - 1, 2) == valuation(q - 1, 2):
+        raise InvalidInput(
+            f"Theorem T4 needs the factors of N = {N} to have distinct "
+            "2-adic valuations of p-1 and q-1"
+        )
     v = valuation(N - 1, 2)
     s = oracle.crs_query(pow(a, 1 << v, N), N, v + 1)
     return QrpVerdict(s == 1, "theorem_t4")
@@ -301,17 +308,20 @@ def qrp_decide_c2(N, a, oracle):
     """Squareness of a mod N for N = 3 mod 4 by one CRS query at level 2."""
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
-    _check_qrp_input(N, a)
+    _check_qrp_input(N, a, oracle.factorization(N))
     s = oracle.crs_query(a * a % N, N, 2)
     return QrpVerdict(s == 1, "corollary_c2")
 
 
 def qrp_decide_permutation(N, a):
     """Squareness of a mod N (N = 3 mod 4) as the sign of multiplication by
-    a^2 on the unit square subgroup mod N; no oracle involved."""
+    a^2 on the unit square subgroup mod N; no oracle involved, so N is
+    factorized here to check its shape."""
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
-    _check_qrp_input(N, a)
+    if N > ENUMERATION_LIMIT:
+        raise SearchSpaceTooLarge(f"n = {N} exceeds enumeration limit")
+    _check_qrp_input(N, a, factorize(N))
     return QrpVerdict(restricted_sign(a * a, N, 1, True) == 1, "corollary_c3")
 
 
@@ -320,11 +330,20 @@ def qrp_bruteforce(N, a):
     return QrpVerdict(power_residues(N, 1, True)[a % N] == 1, "bruteforce")
 
 
-def _check_qrp_input(N, a):
-    if N < 3 or N % 2 == 0:
-        raise InvalidInput(f"N must be odd and >= 3, got {N}")
+def _odd_semiprime(N, fact):
+    # (p, q) from the factorization of N, or the refusal every semiprime
+    # reduction gives outside its promise.
+    pq = fact.odd_semiprime()
+    if pq is None:
+        raise InvalidInput(f"N must be an odd semiprime, got {N}")
+    return pq
+
+
+def _check_qrp_input(N, a, fact):
+    pq = _odd_semiprime(N, fact)
     if jacobi(a % N, N) != 1:
         raise InvalidInput(f"Jacobi symbol ({a}|{N}) must be +1")
+    return pq
 
 
 def valuation_relation(b, p, q):

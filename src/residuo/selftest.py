@@ -10,7 +10,7 @@ in ascending order).
 from dataclasses import dataclass, field
 from math import gcd
 
-from .arithmetic import factorize, jacobi, primes_upto, valuation
+from .arithmetic import factorize, is_prime, jacobi, primes_upto, valuation
 from .errors import InvalidInput
 from .oracle import (
     make_definition_oracle,
@@ -31,8 +31,8 @@ from .reductions import (
 from .symbols import (
     residue_set,
     symbol_composite,
+    symbol_prime_checked,
     symbol_prime_definition,
-    symbol_prime_euler,
 )
 from .zolotarev import (
     find_tripleprime_counterexample,
@@ -77,7 +77,8 @@ def _admissible(a, p, k):
 
 
 def sweep_euler(prime_bound, max_k):
-    """Euler criterion vs exhaustive definition on all admissible (a, p, k)."""
+    """Euler criterion (`symbol_prime_checked`) vs exhaustive definition on
+    all admissible (a, p, k)."""
     report = SuiteReport("euler")
     for p in primes_upto(prime_bound):
         for k in range(1, max_k + 1):
@@ -85,7 +86,7 @@ def sweep_euler(prime_bound, max_k):
                 if not _admissible(a, p, k):
                     continue
                 report.check(
-                    symbol_prime_euler(a, p, k) == symbol_prime_definition(a, p, k),
+                    symbol_prime_checked(a, p, k) == symbol_prime_definition(a, p, k),
                     f"a={a} p={p} k={k}",
                 )
     return report
@@ -284,17 +285,8 @@ def sweep_oracle_agreement(n_bound, max_k):
     dfn = make_definition_oracle()
     zol = make_zolotarev_oracle()
     for n in range(2, n_bound + 1):
-        fact = factorize(n)
-        shape = [(p, e) for p, e in fact.factors]
-        if len(shape) == 1 and shape[0][1] == 1:
-            primes = [shape[0][0]]
-        elif (
-            len(shape) == 2
-            and shape[0][1] == shape[1][1] == 1
-            and shape[0][0] != 2
-        ):
-            primes = [shape[0][0], shape[1][0]]
-        else:
+        primes = (n,) if is_prime(n) else factorize(n).odd_semiprime()
+        if primes is None:
             continue
         for k in range(1, max_k + 1):
             for m in range(1, n):

@@ -115,33 +115,9 @@ def require_admissible(a, p, k):
         )
 
 
-def symbol_prime_euler(a, p, k):
-    """(a|p)_{2^k} via the Euler-type criterion: the residue of
-    a^((p-1)/gcd(2^k, p-1)) mod p, valid when (a|p)_{2^(k-1)} = +1.
-
-    A residue other than 1 or p-1 proves the precondition was violated
-    (the converse does not hold; see symbol_composite for the full check).
-    """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
-    if p == 2:
-        return 1
-    r = pow(a, (p - 1) >> min(k, valuation(p - 1, 2)), p)
-    if r == 1:
-        return 1
-    if r == p - 1:
-        return -1
-    raise PreconditionViolated(
-        f"(a|{p}) at level 2^{k - 1} cannot be +1: Euler power is {r}",
-        prime=p,
-        level=k - 1,
-    )
-
-
 def symbol_prime_checked(a, p, k):
-    """(a|p)_{2^k} with the level-(k-1) precondition verified.
+    """(a|p)_{2^k} by the Euler-type criterion, with the level-(k-1)
+    precondition verified; the one Euler route of the package.
 
     With v = nu_2(p-1), one power r = a^((p-1)/2^min(k, v)) decides both:
     r = 1 gives +1 and r = -1 with k <= v gives -1, since every lower level

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from residuo import arithmetic
 from residuo.arithmetic import (
+    Factorization,
     factorize,
     is_prime,
     jacobi,
@@ -130,6 +131,25 @@ def _odd_d_trial_division(n, bound):
         found.append((n, 1))
         n = 1
     return found, n
+
+
+class TestOddSemiprime:
+    def test_examples(self):
+        assert factorize(39).odd_semiprime() == (3, 13)
+        assert Factorization(()).odd_semiprime() is None
+        for n in (2, 6, 9, 13, 45, 105):
+            assert factorize(n).odd_semiprime() is None
+
+    def test_matches_definition(self):
+        for n in range(1, 5000):
+            expected = [
+                (p, n // p)
+                for p in range(3, math.isqrt(n) + 1, 2)
+                if n % p == 0 and p < n // p and is_prime(p) and is_prime(n // p)
+            ]
+            assert factorize(n).odd_semiprime() == (
+                expected[0] if expected else None
+            ), n
 
 
 class TestTrialDivision:

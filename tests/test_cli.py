@@ -125,12 +125,12 @@ class TestSemiprimeBits:
         assert code == 1
         assert "no quadratic nonresidue" in err
 
-    @pytest.mark.parametrize("n", ["13", "9"])
+    @pytest.mark.parametrize("n", ["13", "9", "105", "27", "3125"])
     def test_prime_or_square_exits_1(self, capsys, n):
         code, out, err = run(capsys, "semiprime-bits", "--n", n)
         assert code == 1
         assert out == ""
-        assert "odd semiprime" in err
+        assert err.startswith("error: ") and "odd semiprime" in err
 
 
 class TestQrp:
@@ -145,6 +145,18 @@ class TestQrp:
     def test_bad_jacobi_exits_1(self, capsys):
         code, _, _ = run(capsys, "qrp", "--n", "39", "--a", "7")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "n, a, method",
+        # 21 = 3*7 has equal valuations nu_2(2) = nu_2(6), outside Theorem
+        # T4's promise; 63 = 3^2*7 is no semiprime.
+        [("21", "5", "t4"), ("63", "2", "c2"), ("63", "2", "c3")],
+    )
+    def test_outside_promise_exits_1(self, capsys, n, a, method):
+        code, out, err = run(capsys, "qrp", "--n", n, "--a", a, "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestSelftest:

@@ -73,15 +73,18 @@ class TestFactorOracle:
     def test_known_factorization_used(self):
         fact = Factorization(((5, 1), (13, 1)))
         oracle = make_factor_oracle(known=[fact])
+        assert oracle.factorization(65) is fact
         assert oracle.crs_query(4, 65, 2) == 1
+
+    def test_factorization_counts_no_query(self):
+        oracle = make_factor_oracle()
+        assert oracle.factorization(63).factors == ((3, 2), (7, 1))
+        assert oracle.factorization(63) is oracle.factorization(63)
+        assert oracle.stats.calls_total == 0
 
     def test_bogus_known_factorization_rejected(self):
         with pytest.raises(InvalidInput):
             make_factor_oracle(known=[Factorization(((4, 1), (9, 1)))])
-
-    def test_trusted_skips_verification(self):
-        fact = Factorization(((5, 1), (13, 1)))
-        make_factor_oracle(known=[fact], trusted_factorizations=True)
 
 
 class TestZolotarevOracle:

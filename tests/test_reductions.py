@@ -3,9 +3,18 @@ import math
 
 import pytest
 
-from residuo.arithmetic import factorize, jacobi, valuation
-from residuo.errors import InvalidInput, NotCoprime, SearchExhausted
-from residuo.oracle import make_definition_oracle, make_factor_oracle
+from residuo.arithmetic import factorize, is_prime, jacobi, valuation
+from residuo.errors import (
+    InvalidInput,
+    NotCoprime,
+    SearchExhausted,
+    SearchSpaceTooLarge,
+)
+from residuo.oracle import (
+    make_definition_oracle,
+    make_factor_oracle,
+    make_zolotarev_oracle,
+)
 from residuo.reductions import (
     candidate_prime_set,
     lemma_l4_check,
@@ -20,6 +29,8 @@ from residuo.reductions import (
     valuation_relation,
     wedeniwski_bound,
 )
+
+MERSENNE_61_89 = (2**61 - 1) * (2**89 - 1)
 
 
 class TestWedeniwskiBound:
@@ -152,11 +163,18 @@ class TestSemiprimeValuations:
         with pytest.raises(SearchExhausted):
             semiprime_valuations(15, make_factor_oracle(), trial_cap=1)
 
-    @pytest.mark.parametrize("n", [13, 9, 25, 10007])
+    @pytest.mark.parametrize("n", [13, 9, 25, 10007, 105, 27, 45, 3125, 1155])
     def test_rejects_prime_and_square(self, n):
         oracle = make_factor_oracle()
         with pytest.raises(InvalidInput):
             semiprime_valuations(n, oracle)
+        assert oracle.stats.calls_total == 0
+
+    def test_zolotarev_limit_before_any_query(self):
+        # Two Mersenne primes: rho would spend its whole budget on this N.
+        oracle = make_zolotarev_oracle()
+        with pytest.raises(SearchSpaceTooLarge):
+            semiprime_valuations(MERSENNE_61_89, oracle)
         assert oracle.stats.calls_total == 0
 
 
@@ -209,6 +227,10 @@ class TestQrp:
         with pytest.raises(InvalidInput):
             qrp_decide(39, 7, make_factor_oracle())
 
+    def test_permutation_limit_before_factorizing(self):
+        with pytest.raises(SearchSpaceTooLarge):
+            qrp_decide_permutation(3 * MERSENNE_61_89, 1)
+
     def test_c2_requires_3_mod_4(self):
         with pytest.raises(InvalidInput):
             qrp_decide_c2(65, 2, make_factor_oracle())
@@ -227,6 +249,47 @@ class TestQrp:
                 if n % 4 == 3:
                     assert qrp_decide_c2(n, a, oracle).is_residue is truth
                     assert qrp_decide_permutation(n, a).is_residue is truth
+
+
+def _odd_semiprime_by_search(n):
+    # (p, q) with n = p*q, p < q odd primes, found by trial division alone.
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if n % p == 0:
+            q = n // p
+            return (p, q) if p < q and is_prime(q) else None
+    return None
+
+
+class TestQrpPromise:
+    def test_refuses_exactly_outside_promise(self):
+        oracle = make_factor_oracle()
+        for n in range(3, 600, 2):
+            pq = _odd_semiprime_by_search(n)
+            t4_ok = pq is not None and valuation(pq[0] - 1, 2) != valuation(
+                pq[1] - 1, 2
+            )
+            routes = [(lambda a: qrp_decide(n, a, oracle), t4_ok)]
+            if n % 4 == 3:
+                routes.append((lambda a: qrp_decide_c2(n, a, oracle), pq is not None))
+                routes.append((lambda a: qrp_decide_permutation(n, a), pq is not None))
+            for a in range(1, n):
+                if jacobi(a, n) != 1:
+                    continue
+                truth = qrp_bruteforce(n, a).is_residue
+                for decide, admissible in routes:
+                    if admissible:
+                        assert decide(a).is_residue is truth, (n, a)
+                    else:
+                        with pytest.raises(InvalidInput):
+                            decide(a)
+
+    def test_refusal_spends_no_query(self):
+        oracle = make_factor_oracle()
+        # 21 = 3*7 has nu_2(2) = nu_2(6); 63 = 3^2*7 is no semiprime.
+        for decide, n, a in ((qrp_decide, 21, 5), (qrp_decide_c2, 63, 2)):
+            with pytest.raises(InvalidInput):
+                decide(n, a, oracle)
+        assert oracle.stats.calls_total == 0
 
 
 class TestValuationRelation:

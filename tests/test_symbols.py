@@ -15,7 +15,6 @@ from residuo.symbols import (
     symbol_power_shortcut,
     symbol_prime_checked,
     symbol_prime_definition,
-    symbol_prime_euler,
     symbol_stabilized,
 )
 
@@ -44,29 +43,21 @@ class TestDefinition:
                 assert symbol_prime_definition(a, p, 1) == jacobi(a, p)
 
 
-class TestEuler:
+class TestChecked:
     def test_examples(self):
-        assert symbol_prime_euler(4, 13, 2) == -1
-        assert symbol_prime_euler(3, 13, 2) == 1
-        assert symbol_prime_euler(1, 97, 3) == 1
+        assert symbol_prime_checked(4, 13, 2) == -1
+        assert symbol_prime_checked(3, 13, 2) == 1
+        assert symbol_prime_checked(1, 97, 3) == 1
 
     def test_violation_detected(self):
-        # 2 is a quadratic nonresidue mod 13, so level 2 is ill-posed.
-        with pytest.raises(PreconditionViolated):
-            symbol_prime_euler(2, 13, 2)
+        # 2 is a quadratic nonresidue mod 13 and mod 3, so level 2 is
+        # ill-posed at both; the Euler power at 3 is -1, which alone does not
+        # tell a violation from a -1 symbol.
+        for p in (13, 3):
+            with pytest.raises(PreconditionViolated) as info:
+                symbol_prime_checked(2, p, 2)
+            assert (info.value.prime, info.value.level) == (p, 1)
 
-    def test_agrees_with_definition(self):
-        for p in PRIMES_200:
-            for k in range(1, 5):
-                for a in range(1, p):
-                    if p != 2 and symbol_prime_definition(a, p, k - 1) != 1:
-                        continue
-                    assert symbol_prime_euler(a, p, k) == symbol_prime_definition(
-                        a, p, k
-                    )
-
-
-class TestChecked:
     def test_matches_definition(self):
         for p in PRIMES_200:
             for k in range(1, 9):
