@@ -9,7 +9,6 @@ from .arithmetic import (
     factorize,
     is_prime,
     jacobi,
-    mod_inverse,
     primes_upto,
     trial_division,
     valuation,
@@ -17,10 +16,10 @@ from .arithmetic import (
 from .errors import ResiduoError
 from .oracle import (
     CrsOracle,
+    DefinitionOracle,
+    FactorOracle,
     OracleStats,
-    make_definition_oracle,
-    make_factor_oracle,
-    make_zolotarev_oracle,
+    ZolotarevOracle,
 )
 from .reductions import (
     QrpVerdict,

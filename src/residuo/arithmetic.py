@@ -1,5 +1,5 @@
-"""Arbitrary-precision integer utilities: valuations, modular inverses, the
-Jacobi symbol, primality testing, prime lists and desk-scale factorization.
+"""Arbitrary-precision integer utilities: valuations, the Jacobi symbol,
+primality testing, prime lists and desk-scale factorization.
 
 All functions are pure and operate on Python ints (nonnegative unless noted).
 The primes below 2^16 come from one sieve, built on first use and then kept.
@@ -19,7 +19,6 @@ from .errors import (
     FactorizationTimeout,
     InvalidInput,
     InvalidModulus,
-    NotInvertible,
     UndefinedValuation,
 )
 
@@ -290,13 +289,3 @@ def factorize(n):
         stack.append(d)
         stack.append(m // d)
     return Factorization(tuple(sorted(counts.items())))
-
-
-def mod_inverse(a, n):
-    """The unique x in [1, n) with a*x = 1 mod n."""
-    if n < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {n}")
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible mod {n}") from None

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 from .arithmetic import is_prime
 from .errors import InvalidInput, PreconditionViolated, ResiduoError
-from .oracle import (
-    make_definition_oracle,
-    make_factor_oracle,
-    make_zolotarev_oracle,
-)
+from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
     qrp_decide,
     qrp_decide_c2,
@@ -31,15 +27,15 @@ from .reductions import (
     two_squares_oracle,
 )
 from .selftest import ALL_SUITES, run_suites
-from .symbols import residue_set, symbol_prime_checked
+from .symbols import residue_set
 from . import __version__
 
 SEED_ENV_VAR = "RESIDUO_SEED"
 
 _ORACLES = {
-    "factor": make_factor_oracle,
-    "definition": make_definition_oracle,
-    "zolotarev": make_zolotarev_oracle,
+    "factor": FactorOracle,
+    "definition": DefinitionOracle,
+    "zolotarev": ZolotarevOracle,
 }
 
 
@@ -78,19 +74,12 @@ def _effective_seed(args):
 
 
 def _cmd_symbol(args):
-    k = args.k
-    oracle = None
-    if args.method == "euler":
-        if not is_prime(args.n):
-            raise ResiduoError("--method euler requires a prime modulus")
-        value = symbol_prime_checked(args.a, args.n, k)
-    else:
-        if k == 0:
-            value = 1
-        else:
-            oracle = _ORACLES[args.method]()
-            value = oracle.crs_query(args.a, args.n, k)
-    return {"symbol": value}, oracle
+    # Euler is the factor oracle, whose Euler criterion at a prime modulus
+    # is exactly `symbol_prime_checked`.
+    if args.method == "euler" and not is_prime(args.n):
+        raise InvalidInput("--method euler requires a prime modulus")
+    oracle = _ORACLES["factor" if args.method == "euler" else args.method]()
+    return {"symbol": oracle.crs_query(args.a, args.n, args.k)}, oracle
 
 
 def _cmd_subgroup(args):

@@ -17,10 +17,6 @@ class UndefinedValuation(InvalidInput):
     """b-adic valuation requested for 0."""
 
 
-class NotInvertible(ResiduoError):
-    """No modular inverse exists (shared factor with the modulus)."""
-
-
 class NotCoprime(ResiduoError):
     """Arguments share a nontrivial common factor."""
 

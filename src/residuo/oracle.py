@@ -20,7 +20,7 @@ prime and semiprime moduli; the third route).
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
 
 from .arithmetic import Factorization, factorize, is_prime
 from .errors import (
@@ -33,33 +33,30 @@ from .symbols import require_admissible, symbol_composite, symbol_prime_definiti
 from .zolotarev import zolotarev_prime, zolotarev_semiprime
 
 
-@dataclass
 class OracleStats:
-    """Query accounting: total calls, calls per level k, largest k seen."""
+    """Query accounting: calls per level k, from which the total and the
+    largest k seen are read."""
 
-    calls_total: int = 0
-    calls_by_k: dict = field(default_factory=dict)
-    max_k_seen: int = 0
+    def __init__(self, calls_by_k=()):
+        self.calls_by_k = Counter(calls_by_k)
+
+    @property
+    def calls_total(self):
+        return sum(self.calls_by_k.values())
+
+    @property
+    def max_k_seen(self):
+        return max(self.calls_by_k, default=0)
 
     def record(self, k):
-        self.calls_total += 1
-        self.calls_by_k[k] = self.calls_by_k.get(k, 0) + 1
-        if k > self.max_k_seen:
-            self.max_k_seen = k
+        self.calls_by_k[k] += 1
 
     def snapshot(self):
-        return OracleStats(self.calls_total, dict(self.calls_by_k), self.max_k_seen)
+        return OracleStats(self.calls_by_k)
 
     def since(self, earlier):
         """Stats for the queries issued after `earlier` was snapshot."""
-        by_k = {
-            k: v - earlier.calls_by_k.get(k, 0)
-            for k, v in self.calls_by_k.items()
-            if v - earlier.calls_by_k.get(k, 0) > 0
-        }
-        return OracleStats(
-            self.calls_total - earlier.calls_total, by_k, max(by_k, default=0)
-        )
+        return OracleStats(self.calls_by_k - earlier.calls_by_k)
 
     def to_json(self):
         return {
@@ -167,13 +164,8 @@ class ZolotarevOracle(CrsOracle):
         return zolotarev_semiprime(m, *pq, k)
 
 
-def make_factor_oracle(known=None):
-    return FactorOracle(known=known)
-
-
-def make_definition_oracle():
-    return DefinitionOracle()
-
-
-def make_zolotarev_oracle():
-    return ZolotarevOracle()
+# perfbench/worker.py and perfbench/spans.py build their oracles by these
+# names.
+make_factor_oracle = FactorOracle
+make_definition_oracle = DefinitionOracle
+make_zolotarev_oracle = ZolotarevOracle

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .arithmetic import (
     factorize,
     jacobi,
-    mod_inverse,
     primes_upto,
     trial_division,
     valuation,
@@ -161,6 +160,8 @@ def two_squares_oracle(
         raise InvalidInput(f"N must be >= 1, got {N}")
     if mode not in ("deterministic", "probabilistic"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    if mode == "probabilistic" and trials < 1:
+        raise InvalidInput(f"probabilistic mode needs trials >= 1, got {trials}")
     method = "oracle_" + mode
     candidates = candidate_prime_set(N, floor)
     found, rest = trial_division(N, max(candidates, default=1))
@@ -285,7 +286,7 @@ def recover_low_bits(N, v_small, v_large):
     q_bits = (1 + (1 << v_large)) % modulus
     if v_small == v_large:
         return q_bits, q_bits
-    p_bits = N * mod_inverse(q_bits, modulus) % modulus
+    p_bits = N * pow(q_bits, -1, modulus) % modulus
     return p_bits, q_bits
 
 

@@ -12,11 +12,7 @@ from math import gcd
 
 from .arithmetic import factorize, is_prime, jacobi, primes_upto, valuation
 from .errors import InvalidInput
-from .oracle import (
-    make_definition_oracle,
-    make_factor_oracle,
-    make_zolotarev_oracle,
-)
+from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
     lemma_l4_check,
     qrp_bruteforce,
@@ -183,12 +179,12 @@ def sweep_counterexample(limit):
     return report
 
 
-def sweep_valuation_lemma(prime_bound, bases=(2, 3, 5, 7)):
+def sweep_valuation_lemma(prime_bound):
     """Valuation relation between p-1, q-1 and pq-1, and the strict
     inequality for base 2 when the factor valuations coincide."""
     report = SuiteReport("l2")
     primes = [p for p in primes_upto(prime_bound) if p != 2]
-    for b in bases:
+    for b in (2, 3, 5, 7):
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
                 rel = valuation_relation(b, p, q)
@@ -211,11 +207,11 @@ def _odd_semiprimes(n_bound):
     return sorted(pairs)
 
 
-def sweep_valuation_algorithm(n_bound, oracle_factory=make_definition_oracle):
-    """The five-step valuation algorithm vs the true factor valuations,
-    including the recovered low bits."""
+def sweep_valuation_algorithm(n_bound):
+    """The five-step valuation algorithm, on the definition oracle, vs the
+    true factor valuations, including the recovered low bits."""
     report = SuiteReport("a1")
-    oracle = oracle_factory()
+    oracle = DefinitionOracle()
     for n, p, q in _odd_semiprimes(n_bound):
         result = semiprime_valuations(n, oracle)
         expected = sorted((valuation(p - 1, 2), valuation(q - 1, 2)))
@@ -232,7 +228,7 @@ def sweep_valuation_algorithm(n_bound, oracle_factory=make_definition_oracle):
 def sweep_qrp(n_bound):
     """Single-query residuosity decisions vs the exhaustive square test."""
     report = SuiteReport("qrp")
-    oracle = make_factor_oracle()
+    oracle = FactorOracle()
     for n, p, q in _odd_semiprimes(n_bound):
         if valuation(p - 1, 2) == valuation(q - 1, 2):
             continue
@@ -250,13 +246,13 @@ def sweep_qrp(n_bound):
     return report
 
 
-def sweep_two_squares(n_bound, floor=50, extra=()):
+def sweep_two_squares(n_bound, extra=()):
     """Oracle-based two-squares decision vs the Fermat parity criterion."""
     report = SuiteReport("two_squares")
-    oracle = make_factor_oracle()
+    oracle = FactorOracle()
     values = list(range(1, n_bound)) + [x for x in extra if x >= n_bound]
     for n in values:
-        verdict = two_squares_oracle(n, oracle, floor=floor)
+        verdict = two_squares_oracle(n, oracle)
         truth = two_squares_fermat(factorize(n), find_witness=False)
         report.check(verdict.solvable == truth.solvable, f"N={n}")
     return report
@@ -266,7 +262,7 @@ def sweep_lemma_l4(n_bound):
     """The two-query equality holds for every unit when N is a sum of two
     squares."""
     report = SuiteReport("l4")
-    oracle = make_factor_oracle()
+    oracle = FactorOracle()
     for n in range(2, n_bound):
         if not two_squares_fermat(factorize(n), find_witness=False).solvable:
             continue
@@ -281,9 +277,9 @@ def sweep_oracle_agreement(n_bound, max_k):
     """Factor, definition and Zolotarev oracles agree on every admissible
     query with a prime or distinct-odd-prime semiprime modulus."""
     report = SuiteReport("agreement")
-    fac = make_factor_oracle()
-    dfn = make_definition_oracle()
-    zol = make_zolotarev_oracle()
+    fac = FactorOracle()
+    dfn = DefinitionOracle()
+    zol = ZolotarevOracle()
     for n in range(2, n_bound + 1):
         primes = (n,) if is_prime(n) else factorize(n).odd_semiprime()
         if primes is None:
@@ -301,23 +297,23 @@ def sweep_oracle_agreement(n_bound, max_k):
     return report
 
 
-def sweep_probabilistic_two_squares(
-    n=11021, trials=20, seeds=range(1, 101), required=99
-):
-    """Seeded probabilistic two-squares runs on an unsolvable instance must
-    return unsolvable in at least `required` of the runs."""
+def sweep_probabilistic_two_squares():
+    """Seeded probabilistic two-squares runs (20 trials each, seeds 1..100)
+    on the unsolvable N = 11021 = 103 * 107 must return unsolvable in at
+    least 99 of the 100 runs."""
     report = SuiteReport("probabilistic")
-    oracle = make_factor_oracle()
+    oracle = FactorOracle()
+    n, seeds = 11021, range(1, 101)
     hits = 0
     for seed in seeds:
         verdict = two_squares_oracle(
-            n, oracle, mode="probabilistic", trials=trials, seed=seed
+            n, oracle, mode="probabilistic", trials=20, seed=seed
         )
         if not verdict.solvable:
             hits += 1
     report.detail["unsolvable_runs"] = hits
-    report.detail["total_runs"] = len(list(seeds))
-    report.check(hits >= required, f"N={n} unsolvable in {hits} runs")
+    report.detail["total_runs"] = len(seeds)
+    report.check(hits >= 99, f"N={n} unsolvable in {hits} runs")
     return report
 
 

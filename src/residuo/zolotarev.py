@@ -34,12 +34,6 @@ class PermutationTable:
     domain: tuple
     image: tuple
 
-    def to_json(self):
-        return {
-            "domain": [str(x) for x in self.domain],
-            "image": [str(x) for x in self.image],
-        }
-
 
 def permutation_sign(perm: PermutationTable):
     """+1 for even permutations, -1 for odd, via cycle decomposition:

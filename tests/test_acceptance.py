@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from residuo.oracle import make_definition_oracle
 from residuo.selftest import (
     sweep_classical_zolotarev,
     sweep_counterexample,
@@ -76,7 +75,7 @@ def test_criterion_06_valuation_lemma():
 
 
 def test_criterion_07_valuation_algorithm():
-    _gate(7, 300, lambda: sweep_valuation_algorithm(5000, make_definition_oracle))
+    _gate(7, 300, lambda: sweep_valuation_algorithm(5000))
 
 
 def test_criterion_08_qrp():
@@ -85,13 +84,13 @@ def test_criterion_08_qrp():
 
 def test_criterion_09_two_squares_agreement():
     report = _gate(
-        9, 300, lambda: sweep_two_squares(10**4, floor=50, extra=(11009, 11021))
+        9, 300, lambda: sweep_two_squares(10**4, extra=(11009, 11021))
     )
     # The four named instances are inside the sweep; spot-check them too.
-    from residuo.oracle import make_factor_oracle
+    from residuo.oracle import FactorOracle
     from residuo.reductions import two_squares_oracle
 
-    oracle = make_factor_oracle()
+    oracle = FactorOracle()
     assert two_squares_oracle(65, oracle, floor=50).solvable
     assert not two_squares_oracle(21, oracle, floor=50).solvable
     assert two_squares_oracle(11009, oracle, floor=50).solvable
@@ -108,10 +107,4 @@ def test_criterion_11_three_way_oracle_agreement():
 
 
 def test_criterion_12_probabilistic_sanity():
-    _gate(
-        12,
-        60,
-        lambda: sweep_probabilistic_two_squares(
-            n=11021, trials=20, seeds=range(1, 101), required=99
-        ),
-    )
+    _gate(12, 60, sweep_probabilistic_two_squares)

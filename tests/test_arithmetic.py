@@ -9,7 +9,6 @@ from residuo.arithmetic import (
     factorize,
     is_prime,
     jacobi,
-    mod_inverse,
     primes_upto,
     trial_division,
     valuation,
@@ -17,7 +16,6 @@ from residuo.arithmetic import (
 from residuo.errors import (
     InvalidInput,
     InvalidModulus,
-    NotInvertible,
     UndefinedValuation,
 )
 
@@ -203,20 +201,3 @@ class TestPrimesUpto:
     @pytest.mark.parametrize("b", [2**16 - 1, 2**16, 2**16 + 500])
     def test_around_sieve_limit(self, b):
         assert primes_upto(b) == [p for p in range(b + 1) if is_prime(p)]
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(5, 8) == 5
-        assert mod_inverse(1, 97) == 1
-        assert mod_inverse(3, 7) == 5
-
-    def test_shared_factor_rejected(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse(6, 9)
-
-    @given(st.integers(2, 10**6), st.integers(1, 10**6))
-    def test_inverse_property(self, n, a):
-        if math.gcd(a, n) == 1:
-            x = mod_inverse(a, n)
-            assert 1 <= x < n and a * x % n == 1

@@ -54,6 +54,17 @@ class TestSymbol:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("method", ["euler", "definition", "factor", "zolotarev"])
+    @pytest.mark.parametrize("a, n", [(3, 13), (13, 13), (2, 0)])
+    def test_level_zero_exits_1(self, capsys, method, a, n):
+        code, out, err = run(
+            capsys, "symbol", "--a", str(a), "--n", str(n), "--k", "0",
+            "--method", method,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -107,6 +118,15 @@ class TestTwoSquares:
             "--trials", "20", "--seed", "3",
         )
         assert run_json(capsys, *args) == run_json(capsys, *args)
+
+    def test_probabilistic_without_trials_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "two-squares", "--n", "11021", "--mode", "probabilistic",
+            "--trials", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestSemiprimeBits:
@@ -199,6 +219,16 @@ class TestRunRecord:
         assert isinstance(record["elapsed_ms"], int)
         assert record["oracle_stats"]["calls_total"] == 1
         assert json.loads(json.dumps(record)) == record
+
+    def test_euler_records_its_query(self, capsys):
+        code, out, _ = run(
+            capsys, "symbol", "--a", "4", "--n", "13", "--k", "2",
+            "--method", "euler", "--record",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["result"] == {"symbol": -1}
+        assert record["oracle_stats"]["calls_total"] == 1
 
     def test_seed_echoed_from_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RESIDUO_SEED", "42")

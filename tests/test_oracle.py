@@ -13,17 +13,19 @@ from residuo.errors import (
     SearchSpaceTooLarge,
 )
 from residuo.oracle import (
+    DefinitionOracle,
+    FactorOracle,
     OracleStats,
-    make_definition_oracle,
-    make_factor_oracle,
-    make_zolotarev_oracle,
+    ZolotarevOracle,
 )
 from residuo.symbols import symbol_prime_definition
 
-ALL_FACTORIES = (make_factor_oracle, make_definition_oracle, make_zolotarev_oracle)
+ALL_FACTORIES = (FactorOracle, DefinitionOracle, ZolotarevOracle)
+# The ids keep the names these parametrized tests have always run under.
+FACTORY_IDS = ("make_factor_oracle", "make_definition_oracle", "make_zolotarev_oracle")
 
 
-@pytest.mark.parametrize("factory", ALL_FACTORIES)
+@pytest.mark.parametrize("factory", ALL_FACTORIES, ids=FACTORY_IDS)
 class TestSharedContract:
     def test_examples(self, factory):
         oracle = factory()
@@ -39,7 +41,7 @@ class TestSharedContract:
     def test_inadmissible_query_rejected(self, factory, m, n, k):
         # 2 is a quadratic nonresidue mod 3 and mod 13, so each (2|n)_4 is
         # ill-posed; the Zolotarev route rejects the prime power 9 by shape.
-        if factory is make_zolotarev_oracle and n == 9:
+        if factory is ZolotarevOracle and n == 9:
             with pytest.raises(NotAdmissibleModulus):
                 factory().crs_query(m, n, k)
             return
@@ -66,40 +68,40 @@ class TestSharedContract:
 
 class TestFactorOracle:
     def test_examples(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert oracle.crs_query(4, 39, 2) == -1
         assert oracle.crs_query(10, 39, 1) == 1
 
     def test_known_factorization_used(self):
         fact = Factorization(((5, 1), (13, 1)))
-        oracle = make_factor_oracle(known=[fact])
+        oracle = FactorOracle(known=[fact])
         assert oracle.factorization(65) is fact
         assert oracle.crs_query(4, 65, 2) == 1
 
     def test_factorization_counts_no_query(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert oracle.factorization(63).factors == ((3, 2), (7, 1))
         assert oracle.factorization(63) is oracle.factorization(63)
         assert oracle.stats.calls_total == 0
 
     def test_bogus_known_factorization_rejected(self):
         with pytest.raises(InvalidInput):
-            make_factor_oracle(known=[Factorization(((4, 1), (9, 1)))])
+            FactorOracle(known=[Factorization(((4, 1), (9, 1)))])
 
 
 class TestZolotarevOracle:
     def test_prime_power_rejected(self):
         with pytest.raises(NotAdmissibleModulus):
-            make_zolotarev_oracle().crs_query(2, 9, 1)
+            ZolotarevOracle().crs_query(2, 9, 1)
 
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
-            make_zolotarev_oracle().crs_query(2, 10**5 + 3, 1)
+            ZolotarevOracle().crs_query(2, 10**5 + 3, 1)
 
 
 class TestStats:
     def test_counts_and_profile(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         oracle.crs_query(2, 15, 1)
         oracle.crs_query(4, 15, 2)
         oracle.crs_query(4, 15, 2)
@@ -110,13 +112,13 @@ class TestStats:
         assert stats.calls_total == sum(stats.calls_by_k.values())
 
     def test_failed_validation_not_counted(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         with pytest.raises(NotCoprime):
             oracle.crs_query(5, 15, 1)
         assert oracle.stats.calls_total == 0
 
     def test_reset_is_explicit(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         oracle.crs_query(2, 15, 1)
         oracle.crs_query(2, 15, 1)
         assert oracle.stats.calls_total == 2
@@ -124,7 +126,7 @@ class TestStats:
         assert oracle.stats.calls_total == 0
 
     def test_since_snapshot(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         oracle.crs_query(2, 15, 1)
         before = oracle.stats.snapshot()
         oracle.crs_query(4, 15, 2)
@@ -134,7 +136,7 @@ class TestStats:
         assert delta.max_k_seen == 2
 
     def test_json(self):
-        stats = OracleStats(3, {1: 1, 2: 2}, 2)
+        stats = OracleStats({1: 1, 2: 2})
         assert json.loads(json.dumps(stats.to_json())) == {
             "calls_total": 3,
             "calls_by_k": {"1": 1, "2": 2},
@@ -142,7 +144,7 @@ class TestStats:
         }
 
     def test_concurrent_counting(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
 
         def worker():
             for _ in range(200):

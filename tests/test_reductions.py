@@ -10,11 +10,7 @@ from residuo.errors import (
     SearchExhausted,
     SearchSpaceTooLarge,
 )
-from residuo.oracle import (
-    make_definition_oracle,
-    make_factor_oracle,
-    make_zolotarev_oracle,
-)
+from residuo.oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from residuo.reductions import (
     candidate_prime_set,
     lemma_l4_check,
@@ -82,13 +78,13 @@ class TestTwoSquaresFermat:
 
 class TestTwoSquaresOracle:
     def test_examples(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert not two_squares_oracle(11021, oracle, floor=50).solvable
         assert two_squares_oracle(11009, oracle, floor=50).solvable
         assert two_squares_oracle(4, oracle).solvable
 
     def test_agrees_with_fermat_small(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         for n in range(1, 700):
             assert (
                 two_squares_oracle(n, oracle).solvable
@@ -96,11 +92,11 @@ class TestTwoSquaresOracle:
             ), n
 
     def test_trial_division_certificate(self):
-        verdict = two_squares_oracle(21, make_factor_oracle())
+        verdict = two_squares_oracle(21, FactorOracle())
         assert not verdict.solvable and verdict.certificate == 3
 
     def test_probabilistic_seeded_reproducible(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         runs = [
             two_squares_oracle(
                 11021, oracle, mode="probabilistic", trials=20, seed=5
@@ -111,12 +107,18 @@ class TestTwoSquaresOracle:
 
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
-            two_squares_oracle(65, make_factor_oracle(), mode="psychic")
+            two_squares_oracle(65, FactorOracle(), mode="psychic")
+
+    def test_probabilistic_needs_a_trial(self):
+        oracle = FactorOracle()
+        with pytest.raises(InvalidInput):
+            two_squares_oracle(11021, oracle, mode="probabilistic", trials=0)
+        assert oracle.stats.calls_total == 0
 
 
 class TestSemiprimeValuations:
     def test_examples(self):
-        oracle = make_definition_oracle()
+        oracle = DefinitionOracle()
         res = semiprime_valuations(39, oracle)
         assert (res.v_small, res.v_large, res.m) == (1, 2, 3)
         assert (res.p_bits, res.q_bits) == (3, 5)
@@ -127,7 +129,7 @@ class TestSemiprimeValuations:
         assert (res.v_small, res.v_large) == (1, 2)
 
     def test_matches_true_valuations(self):
-        oracle = make_definition_oracle()
+        oracle = DefinitionOracle()
         primes = [p for p in range(3, 120) if factorize(p).factors == ((p, 1),)]
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
@@ -142,7 +144,7 @@ class TestSemiprimeValuations:
 
     def test_query_budget(self):
         # All loops finish after O(log N) runs; per-run query bound.
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         for n, q in ((39, 13), (561 // 11, 17), (1457, 47)):
             oracle.reset_stats()
             res = semiprime_valuations(n, oracle, trial_cap=128)
@@ -150,29 +152,29 @@ class TestSemiprimeValuations:
             assert res.stats.calls_total <= budget
 
     def test_seeded_random_search(self):
-        oracle = make_definition_oracle()
+        oracle = DefinitionOracle()
         res = semiprime_valuations(39, oracle, search="seeded_random", seed=11)
         assert (res.v_small, res.v_large) == (1, 2)
 
     def test_rejects_even(self):
         with pytest.raises(InvalidInput):
-            semiprime_valuations(38, make_factor_oracle())
+            semiprime_valuations(38, FactorOracle())
 
     def test_trial_cap_exhaustion(self):
         # jacobi(2, 15) = +1, so one trial finds no nonresidue.
         with pytest.raises(SearchExhausted):
-            semiprime_valuations(15, make_factor_oracle(), trial_cap=1)
+            semiprime_valuations(15, FactorOracle(), trial_cap=1)
 
     @pytest.mark.parametrize("n", [13, 9, 25, 10007, 105, 27, 45, 3125, 1155])
     def test_rejects_prime_and_square(self, n):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         with pytest.raises(InvalidInput):
             semiprime_valuations(n, oracle)
         assert oracle.stats.calls_total == 0
 
     def test_zolotarev_limit_before_any_query(self):
         # Two Mersenne primes: rho would spend its whole budget on this N.
-        oracle = make_zolotarev_oracle()
+        oracle = ZolotarevOracle()
         with pytest.raises(SearchSpaceTooLarge):
             semiprime_valuations(MERSENNE_61_89, oracle)
         assert oracle.stats.calls_total == 0
@@ -203,13 +205,13 @@ class TestRecoverLowBits:
 
 class TestQrp:
     def test_examples(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert not qrp_decide(39, 2, oracle).is_residue
         assert qrp_decide(39, 10, oracle).is_residue
         assert qrp_decide(39, 1, oracle).is_residue
 
     def test_c2_examples(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert not qrp_decide_c2(39, 2, oracle).is_residue
         assert qrp_decide_c2(39, 10, oracle).is_residue
         assert qrp_decide_c2(39, 1, oracle).is_residue
@@ -225,7 +227,7 @@ class TestQrp:
 
     def test_jacobi_guard(self):
         with pytest.raises(InvalidInput):
-            qrp_decide(39, 7, make_factor_oracle())
+            qrp_decide(39, 7, FactorOracle())
 
     def test_permutation_limit_before_factorizing(self):
         with pytest.raises(SearchSpaceTooLarge):
@@ -233,12 +235,12 @@ class TestQrp:
 
     def test_c2_requires_3_mod_4(self):
         with pytest.raises(InvalidInput):
-            qrp_decide_c2(65, 2, make_factor_oracle())
+            qrp_decide_c2(65, 2, FactorOracle())
         with pytest.raises(InvalidInput):
             qrp_decide_permutation(65, 2)
 
     def test_methods_agree_small(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         for n, p, q in ((39, 3, 13), (55, 5, 11), (111, 3, 37)):
             assert valuation(p - 1, 2) != valuation(q - 1, 2)
             for a in range(1, n):
@@ -262,7 +264,7 @@ def _odd_semiprime_by_search(n):
 
 class TestQrpPromise:
     def test_refuses_exactly_outside_promise(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         for n in range(3, 600, 2):
             pq = _odd_semiprime_by_search(n)
             t4_ok = pq is not None and valuation(pq[0] - 1, 2) != valuation(
@@ -284,7 +286,7 @@ class TestQrpPromise:
                             decide(a)
 
     def test_refusal_spends_no_query(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         # 21 = 3*7 has nu_2(2) = nu_2(6); 63 = 3^2*7 is no semiprime.
         for decide, n, a in ((qrp_decide, 21, 5), (qrp_decide_c2, 63, 2)):
             with pytest.raises(InvalidInput):
@@ -310,17 +312,17 @@ class TestValuationRelation:
 
 class TestLemmaL4:
     def test_examples(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         assert lemma_l4_check(65, 2, oracle)
         assert lemma_l4_check(97, 1, oracle)
         assert not lemma_l4_check(11021, 2, oracle)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            lemma_l4_check(65, 5, make_factor_oracle())
+            lemma_l4_check(65, 5, FactorOracle())
 
     def test_necessity_small(self):
-        oracle = make_factor_oracle()
+        oracle = FactorOracle()
         for n in range(2, 300):
             if not two_squares_fermat(factorize(n), find_witness=False).solvable:
                 continue
@@ -331,13 +333,13 @@ class TestLemmaL4:
 
 class TestVerdictJson:
     def test_valuation_result_roundtrip(self):
-        res = semiprime_valuations(39, make_factor_oracle())
+        res = semiprime_valuations(39, FactorOracle())
         data = json.loads(json.dumps(res.to_json()))
         assert data["v_small"] == 1 and data["p_bits"] == "3"
         assert data["oracle_stats"]["calls_total"] == res.stats.calls_total
 
     def test_qrp_roundtrip(self):
-        data = qrp_decide(39, 10, make_factor_oracle()).to_json()
+        data = qrp_decide(39, 10, FactorOracle()).to_json()
         assert json.loads(json.dumps(data)) == {
             "is_residue": True,
             "method": "theorem_t4",

@@ -5,11 +5,13 @@ import pytest
 
 from residuo.arithmetic import factorize, is_prime, jacobi, valuation
 from residuo.errors import (
+    InvalidInput,
     NotCoprime,
     PreconditionViolated,
     SearchSpaceTooLarge,
 )
 from residuo.symbols import (
+    require_admissible,
     residue_set,
     symbol_composite,
     symbol_power_shortcut,
@@ -34,6 +36,20 @@ class TestDefinition:
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
             symbol_prime_definition(2, 10**6 + 3, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: symbol_prime_definition(3, 7, -1),
+            lambda: symbol_stabilized(3, 7, -1),
+            lambda: require_admissible(3, 7, 0),
+            lambda: symbol_prime_definition(3, 0, 1),
+        ],
+        ids=["definition", "stabilized", "admissible", "zero-modulus"],
+    )
+    def test_bad_level_or_modulus(self, call):
+        with pytest.raises(InvalidInput):
+            call()
 
     def test_k1_is_legendre(self):
         for p in PRIMES_200:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -11,6 +10,7 @@ from residuo.errors import (
     NotClosedUnderAction,
     NotCoprime,
     PreconditionViolated,
+    ResiduoError,
 )
 from residuo.symbols import residue_set, symbol_prime_definition
 from residuo.zolotarev import (
@@ -58,13 +58,6 @@ class TestPermutationSign:
             )
             expected = -1 if inversions % 2 else 1
             assert permutation_sign(PermutationTable(domain, tuple(image))) == expected
-
-    def test_json(self):
-        perm = PermutationTable((1, 4), (4, 1))
-        assert json.loads(json.dumps(perm.to_json())) == {
-            "domain": ["1", "4"],
-            "image": ["4", "1"],
-        }
 
 
 class TestMultiplicationPermutation:
@@ -131,6 +124,11 @@ class TestZolotarevPrime:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             zolotarev_prime(2, 13, 2)
+
+    def test_non_unit_of_composite_modulus(self):
+        # Outside the prime contract, but still a ResiduoError.
+        with pytest.raises(ResiduoError):
+            zolotarev_prime(2, 4, 1)
 
     def test_above_stabilization_is_plus_one(self):
         # For k > nu_2(p-1) an admissible a gives an even permutation.
