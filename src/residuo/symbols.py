@@ -5,13 +5,19 @@ search (the brute-force reference), the Euler-type power criterion, and a
 clamp to the stabilization level.  The composite symbol is the product over
 prime factors with multiplicity.
 
+The residue sets behind the definition route are cached byte masks, built
+by the shape of n: a CRT product of the parts' masks at composite n, one
+walk of the subgroup of 2^k-th powers at an odd prime, and squaring level by
+level elsewhere (see `power_residues`).
+
 Symbols take values in {+1, -1}, represented as plain ints.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import and_
 
 from .arithmetic import Factorization, factorize, jacobi, valuation
 from .errors import (
@@ -51,10 +57,18 @@ def power_residues(n, k, units_only):
     and cached; the input checks run only on a miss, since a raised error
     is never cached.
 
-    Level 0 is every residue, or the units found by zeroing the multiples of
-    each prime factor of n.  Level 1 squares only x <= n/2, since level 0 is
-    closed under x -> n - x and (n - x)^2 = x^2; each higher level squares
-    the members of the level below (each squaring shrinks or keeps the set).
+    Three constructions, by the shape of n:
+    - n with two or more prime-power parts q: by the CRT, a is in the set
+      exactly when a mod q is in the set mod q for every q, so the mask is
+      the bytewise AND of each part's mask tiled n/q times.  Only (n, k)
+      and the parts' entries are cached, no lower level at n.
+    - an odd prime n, k >= 1: every unit is g^i for a primitive root g, so
+      the image is the cyclic subgroup generated by h = g^(2^k), walked
+      once from 1, plus 0 over all residues.
+    - k = 0, n = 1, n = 2 and prime powers: level 0 is every residue, or
+      the units found by zeroing the multiples of each prime factor of n;
+      each higher level squares the members of the level below (only
+      x <= n/2 at level 1, since level 0 is closed under x -> n - x).
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
@@ -71,11 +85,35 @@ def power_residues(n, k, units_only):
             for p in factorize(n).primes():
                 mask[::p] = bytes(len(range(0, n, p)))
         return bytes(mask)
+    factors = factorize(n).factors
+    if len(factors) > 1:
+        masks = (
+            int.from_bytes(power_residues(q, k, units_only) * (n // q), "big")
+            for q in (p**e for p, e in factors)
+        )
+        return reduce(and_, masks).to_bytes(n, "big")
+    if n > 2 and factors[0][1] == 1:
+        h = pow(_primitive_root(n), 1 << k, n)
+        mask = bytearray(n)
+        x = 1
+        while not mask[x]:
+            mask[x] = 1
+            x = x * h % n
+        mask[0] = not units_only
+        return bytes(mask)
     prev = power_residues(n, k - 1, units_only)
     mask = bytearray(n)
     for x in compress(range(n // 2 + 1 if k == 1 else n), prev):
         mask[x * x % n] = 1
     return bytes(mask)
+
+
+def _primitive_root(p):
+    """The least generator of the units mod an odd prime p."""
+    cofactors = [(p - 1) // r for r in factorize(p - 1).primes()]
+    return next(
+        g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors)
+    )
 
 
 # perfbench/spans.py reads the cache statistics under this name.
@@ -121,6 +159,8 @@ def symbol_prime_checked(a, p, k):
     is then +1; anything else is a violation, reported at the lowest level
     where the symbol is -1.  Levels above v equal level v.
     """
+    if p < 1:
+        raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     if k == 0 or p == 2:
@@ -159,6 +199,8 @@ def symbol_composite(a, n_fact: Factorization, k):
 def symbol_stabilized(a, p, k):
     """(a|p)_{2^k} with k clamped to the stabilization level nu_2(p-1);
     the clamp does not change the value for any k."""
+    if p < 1:
+        raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     if p == 2:
@@ -171,6 +213,8 @@ def symbol_power_shortcut(a, p, k):
     symbol (a|p)_2 when k <= nu_2(p-1) and +1 otherwise."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
+    if p < 1:
+        raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     if p == 2:

@@ -122,6 +122,8 @@ def zolotarev_prime(a, p, k):
     level-(k-1) unit residue set mod p."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
+    if p < 1:
+        raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     require_admissible(a, p, k)

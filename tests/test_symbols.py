@@ -1,5 +1,8 @@
 import json
 import math
+import random
+from collections import deque
+from itertools import compress, repeat
 
 import pytest
 
@@ -11,6 +14,7 @@ from residuo.errors import (
     SearchSpaceTooLarge,
 )
 from residuo.symbols import (
+    power_residues,
     require_admissible,
     residue_set,
     symbol_composite,
@@ -19,6 +23,7 @@ from residuo.symbols import (
     symbol_prime_definition,
     symbol_stabilized,
 )
+from residuo.zolotarev import zolotarev_prime
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
 
@@ -57,6 +62,16 @@ class TestDefinition:
                 continue
             for a in range(1, p):
                 assert symbol_prime_definition(a, p, 1) == jacobi(a, p)
+
+
+@pytest.mark.parametrize("p", [0, -7])
+@pytest.mark.parametrize(
+    "symbol",
+    [symbol_stabilized, symbol_prime_checked, symbol_power_shortcut, zolotarev_prime],
+)
+def test_nonpositive_prime_rejected(symbol, p):
+    with pytest.raises(InvalidInput):
+        symbol(3, p, 1)
 
 
 class TestChecked:
@@ -240,3 +255,57 @@ class TestResidueSet:
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
             residue_set(10**6 + 1, 1, True)
+
+
+def _mask_shape(n):
+    """The shape of n's factorization: p, pq, pqr, p^2*q or 2^e*q, else None."""
+    factors = factorize(n).factors
+    exps = [e for _, e in factors]
+    if factors[0][0] == 2 and exps[1:] == [1]:
+        return "2^e*q"
+    return {
+        (1,): "p",
+        (1, 1): "pq",
+        (1, 1, 1): "pqr",
+        (1, 2): "p^2*q",
+        (2, 1): "p^2*q",
+    }.get(tuple(exps))
+
+
+class TestResidueMasksAtScale:
+    def test_matches_power_image(self):
+        # Six seeded moduli of each shape, five in [10^4, 10^5) (the
+        # fresh-moduli workload's range) and one in [10^5, 10^6), against
+        # the image of x -> x^(2^k) over every x (or every unit x).  Level k
+        # squares the members of level k - 1, since x^(2^k) = (x^(2^(k-1)))^2;
+        # the maps run the loops in C, each `deque(..., maxlen=0)` drains one.
+        rng = random.Random(8)
+        moduli = []
+        for top in [5] * 5 + [6]:
+            todo = {"p", "pq", "pqr", "p^2*q", "2^e*q"}
+            while todo:
+                n = int(10 ** rng.uniform(top - 1, top))
+                shape = _mask_shape(n)
+                if shape in todo:
+                    todo.remove(shape)
+                    moduli.append(n)
+        for n in moduli:
+            for units in (True, False):
+                xs = range(n)
+                if units:
+                    xs = compress(xs, map((1).__eq__, map(math.gcd, xs, repeat(n))))
+                for k in range(6):
+                    image = bytearray(n)
+                    deque(map(image.__setitem__, xs, repeat(1)), maxlen=0)
+                    assert power_residues(n, k, units) == image, (n, k, units)
+                    xs = map(pow, compress(range(n), image), repeat(2), repeat(n))
+
+    def test_semiprime_miss_caches_no_lower_level(self):
+        p, q, k = 499, 1999, 3
+        power_residues.cache_clear()
+        power_residues(p * q, k, True)
+        assert power_residues.cache_info().currsize == 3
+        hits = power_residues.cache_info().hits
+        power_residues(p, k, True)
+        power_residues(q, k, True)
+        assert power_residues.cache_info().hits == hits + 2
