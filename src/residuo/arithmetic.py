@@ -12,8 +12,8 @@ sqrt(n)), each of the 17 built at most once.
 import functools
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import (
     FactorizationTimeout,
@@ -36,8 +36,7 @@ _RHO_ITERATION_CAP = 10**7
 _SIEVE_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime-power decomposition: factors as (prime, exponent) pairs with
     strictly increasing primes."""
 

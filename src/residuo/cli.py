@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .arithmetic import is_prime
 from .errors import InvalidInput, PreconditionViolated, ResiduoError
@@ -26,7 +25,6 @@ from .reductions import (
     semiprime_valuations,
     two_squares_oracle,
 )
-from .selftest import ALL_SUITES, run_suites
 from .symbols import residue_set
 from . import __version__
 
@@ -37,28 +35,6 @@ _ORACLES = {
     "definition": DefinitionOracle,
     "zolotarev": ZolotarevOracle,
 }
-
-
-@dataclass
-class RunRecord:
-    command: str
-    inputs: dict
-    result: object
-    seed: int = None
-    oracle_stats: object = None
-    elapsed_ms: int = 0
-
-    def to_json(self):
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "seed": self.seed,
-            "oracle_stats": None
-            if self.oracle_stats is None
-            else self.oracle_stats.to_json(),
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _effective_seed(args):
@@ -125,6 +101,9 @@ def _cmd_qrp(args):
 
 
 def _cmd_selftest(args):
+    # Imported here: the sweeps load only for the command that runs them.
+    from .selftest import ALL_SUITES, run_suites
+
     names = args.suites.split(",") if args.suites else list(ALL_SUITES)
     reports = run_suites(names, args.max_n, args.max_k)
     for report in reports:
@@ -235,20 +214,22 @@ def build_parser():
 
 
 def _emit(args, result, oracle, started):
-    record = RunRecord(
-        command=args.command,
-        inputs={
-            key: str(value) if isinstance(value, int) else value
-            for key, value in vars(args).items()
-            if key not in ("func", "command", "record") and value is not None
-        },
-        result=result,
-        seed=_effective_seed(args) if hasattr(args, "seed") else None,
-        oracle_stats=None if oracle is None else oracle.stats,
-        elapsed_ms=int((time.monotonic() - started) * 1000),
-    )
-    payload = record.to_json() if args.record else result
-    sys.stdout.write(json.dumps(payload) + "\n")
+    if args.record:
+        result = {
+            "command": args.command,
+            # Large integers go out as decimal strings; bool is an int too,
+            # but a flag stays a JSON boolean.
+            "inputs": {
+                key: str(value) if type(value) is int else value
+                for key, value in vars(args).items()
+                if key not in ("func", "command", "record") and value is not None
+            },
+            "result": result,
+            "seed": _effective_seed(args) if hasattr(args, "seed") else None,
+            "oracle_stats": None if oracle is None else oracle.stats.to_json(),
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+    sys.stdout.write(json.dumps(result) + "\n")
 
 
 def main(argv=None):

@@ -16,7 +16,7 @@ and the modulus.
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arithmetic import (
     factorize,
@@ -33,8 +33,7 @@ DEFAULT_FLOOR = 50
 DEFAULT_TRIAL_CAP = 128
 
 
-@dataclass(frozen=True)
-class TwoSquaresVerdict:
+class TwoSquaresVerdict(NamedTuple):
     """Whether N = X^2 + Y^2 is solvable, with an optional witness pair in
     the solvable case or a certifying prime (= 3 mod 4 at odd exponent) in
     the unsolvable factorization path."""
@@ -53,8 +52,7 @@ class TwoSquaresVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ValuationResult:
+class ValuationResult(NamedTuple):
     """Output of the valuation algorithm on N = pq: the two 2-adic
     valuations of p-1 and q-1 and both factors mod 2^m, m = v_large + 1."""
 
@@ -76,8 +74,7 @@ class ValuationResult:
         }
 
 
-@dataclass(frozen=True)
-class QrpVerdict:
+class QrpVerdict(NamedTuple):
     is_residue: bool
     method: str
 
@@ -85,8 +82,7 @@ class QrpVerdict:
         return {"is_residue": self.is_residue, "method": self.method}
 
 
-@dataclass(frozen=True)
-class ValuationRelation:
+class ValuationRelation(NamedTuple):
     """The valuations of p-1, q-1 and pq-1 at base b, classified by which
     clause of the valuation lemma applies."""
 

@@ -7,7 +7,6 @@ empty.  Failure entries record the minimal failing instance (sweeps iterate
 in ascending order).
 """
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .arithmetic import factorize, is_prime, jacobi, primes_upto, valuation
@@ -41,12 +40,12 @@ from .zolotarev import (
 _MAX_RECORDED_FAILURES = 10
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
+    def __init__(self, name):
+        self.name = name
+        self.cases = 0
+        self.failures = []
+        self.detail = {}
 
     @property
     def passed(self):

@@ -14,10 +14,10 @@ Symbols take values in {+1, -1}, represented as plain ints.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_
+from typing import NamedTuple
 
 from .arithmetic import Factorization, factorize, jacobi, valuation
 from .errors import (
@@ -30,8 +30,7 @@ from .errors import (
 ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class ResidueClassSet:
+class ResidueClassSet(NamedTuple):
     """The image of x -> x^(2^k) mod `modulus`, over all residues or over
     the units only.  Members are sorted ascending."""
 

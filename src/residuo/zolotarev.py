@@ -8,7 +8,7 @@ counterexample is included.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arithmetic import is_prime, jacobi, primes_upto, valuation
 from .errors import (
@@ -26,8 +26,7 @@ from .symbols import (
 )
 
 
-@dataclass(frozen=True)
-class PermutationTable:
+class PermutationTable(NamedTuple):
     """A permutation of a listed residue set: position i maps
     domain[i] -> image[i]; domain is sorted ascending."""
 

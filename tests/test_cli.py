@@ -220,6 +220,15 @@ class TestRunRecord:
         assert record["oracle_stats"]["calls_total"] == 1
         assert json.loads(json.dumps(record)) == record
 
+    @pytest.mark.parametrize(
+        "flag, units", [(("--units",), True), ((), False)], ids=["units", "no-units"]
+    )
+    def test_flags_recorded_as_booleans(self, capsys, flag, units):
+        record = run_json(
+            capsys, "subgroup", "--n", "13", "--k", "2", *flag, "--record"
+        )
+        assert record["inputs"] == {"n": "13", "k": "2", "units": units}
+
     def test_euler_records_its_query(self, capsys):
         code, out, _ = run(
             capsys, "symbol", "--a", "4", "--n", "13", "--k", "2",

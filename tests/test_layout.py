@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import residuo
@@ -28,3 +31,22 @@ def test_oracle_factory_aliases_stay_in_oracle_module():
         and re.search(r"\bmake_\w+_oracle\b", path.read_text())
     ]
     assert named == []
+
+
+def test_cold_cli_import_skips_what_commands_do_not_run():
+    # A fresh interpreter without site (-S), so only residuo's own imports
+    # count: no dataclasses (which loads inspect), and selftest only for its
+    # command.
+    src = Path(residuo.__file__).parent.parent
+    probe = (
+        "import residuo.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'residuo.selftest'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
