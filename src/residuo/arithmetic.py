@@ -123,11 +123,8 @@ def is_prime(n):
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = valuation(n - 1, 2)
+    d = (n - 1) >> r
     for a in _MR_BASES:
         if _miller_rabin_witness(a, n, d, r):
             return False

@@ -88,16 +88,11 @@ def _cmd_semiprime_bits(args):
 
 
 def _cmd_qrp(args):
-    oracle = None
-    if args.method == "t4":
-        oracle = _ORACLES[args.oracle]()
-        verdict = qrp_decide(args.n, args.a, oracle)
-    elif args.method == "c2":
-        oracle = _ORACLES[args.oracle]()
-        verdict = qrp_decide_c2(args.n, args.a, oracle)
-    else:
-        verdict = qrp_decide_permutation(args.n, args.a)
-    return verdict.to_json(), oracle
+    if args.method == "c3":
+        return qrp_decide_permutation(args.n, args.a).to_json(), None
+    oracle = _ORACLES[args.oracle]()
+    decide = qrp_decide if args.method == "t4" else qrp_decide_c2
+    return decide(args.n, args.a, oracle).to_json(), oracle
 
 
 def _cmd_selftest(args):

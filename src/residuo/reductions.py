@@ -16,6 +16,7 @@ and the modulus.
 
 import math
 import random
+from itertools import count, islice
 from typing import NamedTuple
 
 from .arithmetic import (
@@ -126,13 +127,13 @@ def _two_squares_witness(N):
     return None
 
 
-def two_squares_fermat(n_fact, find_witness=True):
+def two_squares_fermat(n_fact):
     """Ground-truth verdict from the factorization: solvable iff every
     prime = 3 mod 4 occurs to an even power."""
     for p, e in n_fact.factors:
         if p % 4 == 3 and e % 2 == 1:
             return TwoSquaresVerdict(False, "fermat_factorization", certificate=p)
-    witness = _two_squares_witness(n_fact.value) if find_witness else None
+    witness = _two_squares_witness(n_fact.value)
     return TwoSquaresVerdict(True, "fermat_factorization", witness=witness)
 
 
@@ -169,40 +170,39 @@ def two_squares_oracle(
     if mode == "deterministic":
         test_values = candidates
     else:
-        rng = random.Random(seed)
-        test_values = []
-        while len(test_values) < trials:
-            a = rng.randrange(1, rest) if rest > 2 else 1
-            if math.gcd(a, rest) == 1:
-                test_values.append(a)
+        test_values = _coprime_draws(rest, trials, _seeded_draws(seed, 1, rest))
     for a in test_values:
-        if oracle.crs_query(a % rest, rest, 1) != oracle.crs_query(
-            a * a % rest, rest, 2
-        ):
+        if not lemma_l4_check(rest, a, oracle):
             return TwoSquaresVerdict(False, method)
     return TwoSquaresVerdict(True, method)
 
 
+def _coprime_draws(N, size, draws):
+    # The first `size` of `draws` coprime to N.
+    return islice((a for a in draws if math.gcd(a, N) == 1), size)
+
+
+def _seeded_draws(seed, lo, hi):
+    # Endless randrange(lo, hi) draws from a generator seeded with `seed`.
+    rng = random.Random(seed)
+    return iter(lambda: rng.randrange(lo, hi), None)
+
+
 def _search_candidates(N, search, trial_cap, seed):
-    # Yields up to trial_cap candidates coprime to N.
+    # The first trial_cap candidates coprime to N.
     if search == "deterministic_enum":
-        produced = 0
-        a = 2
-        while produced < trial_cap:
-            if math.gcd(a, N) == 1:
-                yield a
-                produced += 1
-            a += 1
-    elif search == "seeded_random":
-        rng = random.Random(seed)
-        produced = 0
-        while produced < trial_cap:
-            a = rng.randrange(2, N - 1)
-            if math.gcd(a, N) == 1:
-                yield a
-                produced += 1
-    else:
-        raise InvalidInput(f"unknown search strategy {search!r}")
+        return _coprime_draws(N, trial_cap, count(2))
+    if search == "seeded_random":
+        return _coprime_draws(N, trial_cap, _seeded_draws(seed, 2, N - 1))
+    raise InvalidInput(f"unknown search strategy {search!r}")
+
+
+def _first_level(x, N, levels, oracle):
+    # The first level i in `levels` with (x^(2^(i-1))|N)_{2^i} = +1, or None.
+    return next(
+        (i for i in levels if oracle.crs_query(pow(x, 1 << (i - 1), N), N, i) == 1),
+        None,
+    )
 
 
 def semiprime_valuations(
@@ -233,12 +233,10 @@ def semiprime_valuations(
         raise SearchExhausted(
             f"no quadratic nonresidue found within {trial_cap} trials"
         )
-    v_small = v_large = None
-    for i in range(1, v + 1):
-        if oracle.crs_query(pow(a, 1 << (i - 1), N), N, i) == 1:
-            v_small = v_large = i - 1
-            break
-    if v_small is None:
+    j = _first_level(a, N, range(1, v + 1), oracle)
+    if j is not None:
+        v_small = v_large = j - 1
+    else:
         v_small = v
         for b in _search_candidates(N, search, trial_cap, seed):
             if oracle.crs_query(pow(b, 1 << v, N), N, v + 1) == -1:
@@ -247,15 +245,10 @@ def semiprime_valuations(
             raise SearchExhausted(
                 f"no level-{v + 1} witness found within {trial_cap} trials"
             )
-        i = v + 1
-        cap = N.bit_length() + 2
-        while True:
-            i += 1
-            if i > cap:
-                raise SearchExhausted("valuation scan exceeded log N levels")
-            if oracle.crs_query(pow(b, 1 << (i - 1), N), N, i) == 1:
-                v_large = i - 1
-                break
+        j = _first_level(b, N, range(v + 2, N.bit_length() + 3), oracle)
+        if j is None:
+            raise SearchExhausted("valuation scan exceeded log N levels")
+        v_large = j - 1
     p_bits, q_bits = recover_low_bits(N, v_small, v_large)
     return ValuationResult(
         v_small,

@@ -7,6 +7,7 @@ empty.  Failure entries record the minimal failing instance (sweeps iterate
 in ascending order).
 """
 
+from itertools import compress
 from math import gcd
 
 from .arithmetic import factorize, is_prime, jacobi, primes_upto, valuation
@@ -24,6 +25,7 @@ from .reductions import (
     valuation_relation,
 )
 from .symbols import (
+    power_residues,
     residue_set,
     symbol_composite,
     symbol_prime_checked,
@@ -66,9 +68,13 @@ class SuiteReport:
         }
 
 
-def _admissible(a, p, k):
-    # Level-(k-1) precondition of the symbol at prime p.
-    return symbol_prime_definition(a, p, k - 1) == 1
+def _admissible_queries(n, max_k):
+    """(m, k) for k = 1..max_k, then m ascending, over the units m mod n
+    whose level-(k-1) symbol is +1 at every prime of n: the members of the
+    level-(k-1) unit power residues mod n, by the CRT."""
+    for k in range(1, max_k + 1):
+        for m in compress(range(n), power_residues(n, k - 1, True)):
+            yield m, k
 
 
 def sweep_euler(prime_bound, max_k):
@@ -76,14 +82,11 @@ def sweep_euler(prime_bound, max_k):
     all admissible (a, p, k)."""
     report = SuiteReport("euler")
     for p in primes_upto(prime_bound):
-        for k in range(1, max_k + 1):
-            for a in range(1, p):
-                if not _admissible(a, p, k):
-                    continue
-                report.check(
-                    symbol_prime_checked(a, p, k) == symbol_prime_definition(a, p, k),
-                    f"a={a} p={p} k={k}",
-                )
+        for a, k in _admissible_queries(p, max_k):
+            report.check(
+                symbol_prime_checked(a, p, k) == symbol_prime_definition(a, p, k),
+                f"a={a} p={p} k={k}",
+            )
     return report
 
 
@@ -108,14 +111,11 @@ def sweep_t3(prime_bound, max_k):
     for p in primes_upto(prime_bound):
         if p == 2:
             continue
-        for k in range(1, max_k + 1):
-            for a in range(1, p):
-                if not _admissible(a, p, k):
-                    continue
-                report.check(
-                    zolotarev_prime(a, p, k) == symbol_prime_definition(a, p, k),
-                    f"a={a} p={p} k={k}",
-                )
+        for a, k in _admissible_queries(p, max_k):
+            report.check(
+                zolotarev_prime(a, p, k) == symbol_prime_definition(a, p, k),
+                f"a={a} p={p} k={k}",
+            )
     return report
 
 
@@ -131,17 +131,11 @@ def sweep_t5(max_k, prime_bound=None, product_bound=None):
             if product_bound is not None and n > product_bound:
                 break
             fact = factorize(n)
-            for k in range(1, max_k + 1):
-                for m in range(1, n):
-                    if m % p == 0 or m % q == 0:
-                        continue
-                    if not (_admissible(m, p, k) and _admissible(m, q, k)):
-                        continue
-                    report.check(
-                        zolotarev_semiprime(m, p, q, k)
-                        == symbol_composite(m, fact, k),
-                        f"m={m} p={p} q={q} k={k}",
-                    )
+            for m, k in _admissible_queries(n, max_k):
+                report.check(
+                    zolotarev_semiprime(m, p, q, k) == symbol_composite(m, fact, k),
+                    f"m={m} p={p} q={q} k={k}",
+                )
     return report
 
 
@@ -252,7 +246,7 @@ def sweep_two_squares(n_bound, extra=()):
     values = list(range(1, n_bound)) + [x for x in extra if x >= n_bound]
     for n in values:
         verdict = two_squares_oracle(n, oracle)
-        truth = two_squares_fermat(factorize(n), find_witness=False)
+        truth = two_squares_fermat(factorize(n))
         report.check(verdict.solvable == truth.solvable, f"N={n}")
     return report
 
@@ -263,7 +257,7 @@ def sweep_lemma_l4(n_bound):
     report = SuiteReport("l4")
     oracle = FactorOracle()
     for n in range(2, n_bound):
-        if not two_squares_fermat(factorize(n), find_witness=False).solvable:
+        if not two_squares_fermat(factorize(n)).solvable:
             continue
         for a in range(1, n):
             if gcd(a, n) != 1:
@@ -280,19 +274,13 @@ def sweep_oracle_agreement(n_bound, max_k):
     dfn = DefinitionOracle()
     zol = ZolotarevOracle()
     for n in range(2, n_bound + 1):
-        primes = (n,) if is_prime(n) else factorize(n).odd_semiprime()
-        if primes is None:
+        if not is_prime(n) and factorize(n).odd_semiprime() is None:
             continue
-        for k in range(1, max_k + 1):
-            for m in range(1, n):
-                if any(m % p == 0 for p in primes):
-                    continue
-                if not all(_admissible(m, p, k) for p in primes):
-                    continue
-                a = fac.crs_query(m, n, k)
-                b = dfn.crs_query(m, n, k)
-                c = zol.crs_query(m, n, k)
-                report.check(a == b == c, f"m={m} n={n} k={k}")
+        for m, k in _admissible_queries(n, max_k):
+            a = fac.crs_query(m, n, k)
+            b = dfn.crs_query(m, n, k)
+            c = zol.crs_query(m, n, k)
+            report.check(a == b == c, f"m={m} n={n} k={k}")
     return report
 
 

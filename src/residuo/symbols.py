@@ -66,8 +66,7 @@ def power_residues(n, k, units_only):
       once from 1, plus 0 over all residues.
     - k = 0, n = 1, n = 2 and prime powers: level 0 is every residue, or
       the units found by zeroing the multiples of each prime factor of n;
-      each higher level squares the members of the level below (only
-      x <= n/2 at level 1, since level 0 is closed under x -> n - x).
+      each higher level squares the members of the level below.
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
@@ -102,7 +101,7 @@ def power_residues(n, k, units_only):
         return bytes(mask)
     prev = power_residues(n, k - 1, units_only)
     mask = bytearray(n)
-    for x in compress(range(n // 2 + 1 if k == 1 else n), prev):
+    for x in compress(range(n), prev):
         mask[x * x % n] = 1
     return bytes(mask)
 
@@ -162,7 +161,7 @@ def symbol_prime_checked(a, p, k):
         raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
-    if k == 0 or p == 2:
+    if k == 0:
         return 1
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -202,8 +201,6 @@ def symbol_stabilized(a, p, k):
         raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
-    if p == 2:
-        return 1
     return symbol_prime_definition(a, p, min(k, valuation(p - 1, 2)))
 
 
@@ -216,8 +213,6 @@ def symbol_power_shortcut(a, p, k):
         raise InvalidInput(f"p must be >= 1, got {p}")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
-    if p == 2:
-        return 1
     if k <= valuation(p - 1, 2):
         return jacobi(a % p, p)
     return 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from residuo import selftest
 from residuo.cli import main
 
 
@@ -198,6 +199,46 @@ class TestSelftest:
     def test_zero_bound_zero_cases(self, capsys):
         data = run_json(capsys, "selftest", "--max-n", "0")
         assert all(s["cases"] == 0 for s in data["suites"])
+
+    def test_defaults_pass_with_known_case_counts(self, capsys):
+        data = run_json(capsys, "selftest")
+        assert {s["name"]: (s["passed"], s["cases"]) for s in data["suites"]} == {
+            "euler": (True, 9358),
+            "stabilization": (True, 145),
+            "t3": (True, 9354),
+            "t5": (True, 3750),
+            "jacobi": (True, 8150),
+            "counterexample": (True, 1),
+            "l2": (True, 3960),
+            "a1": (True, 32),
+            "qrp": (True, 676),
+            "two_squares": (True, 199),
+            "l4": (True, 4693),
+            "agreement": (True, 13108),
+            "probabilistic": (True, 1),
+        }
+
+    def test_failed_suite_exits_1_with_report(self, capsys, monkeypatch):
+        def failing(max_n, max_k):
+            report = selftest.SuiteReport("euler")
+            report.check(False, "a=2 p=3 k=1")
+            return report
+
+        monkeypatch.setitem(selftest.SUITES, "euler", failing)
+        code, out, err = run(capsys, "selftest", "--suites", "euler")
+        assert code == 1
+        assert json.loads(out) == {
+            "suites": [
+                {
+                    "name": "euler",
+                    "cases": 1,
+                    "passed": False,
+                    "failures": ["a=2 p=3 k=1"],
+                    "detail": {},
+                }
+            ]
+        }
+        assert "euler: FAIL (1 cases), first failure: a=2 p=3 k=1" in err
 
     def test_unknown_suite_exits_1(self, capsys):
         code, out, err = run(capsys, "selftest", "--suites", "bogus")

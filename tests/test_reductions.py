@@ -88,7 +88,7 @@ class TestTwoSquaresOracle:
         for n in range(1, 700):
             assert (
                 two_squares_oracle(n, oracle).solvable
-                == two_squares_fermat(factorize(n), find_witness=False).solvable
+                == two_squares_fermat(factorize(n)).solvable
             ), n
 
     def test_trial_division_certificate(self):
@@ -324,7 +324,7 @@ class TestLemmaL4:
     def test_necessity_small(self):
         oracle = FactorOracle()
         for n in range(2, 300):
-            if not two_squares_fermat(factorize(n), find_witness=False).solvable:
+            if not two_squares_fermat(factorize(n)).solvable:
                 continue
             for a in range(1, n):
                 if math.gcd(a, n) == 1:

@@ -23,7 +23,7 @@ from residuo.symbols import (
     symbol_prime_definition,
     symbol_stabilized,
 )
-from residuo.zolotarev import zolotarev_prime
+from residuo.zolotarev import zolotarev_prime, zolotarev_semiprime
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
 
@@ -49,8 +49,17 @@ class TestDefinition:
             lambda: symbol_stabilized(3, 7, -1),
             lambda: require_admissible(3, 7, 0),
             lambda: symbol_prime_definition(3, 0, 1),
+            lambda: symbol_prime_checked(3, 2, -1),
+            lambda: symbol_stabilized(3, 2, -1),
         ],
-        ids=["definition", "stabilized", "admissible", "zero-modulus"],
+        ids=[
+            "definition",
+            "stabilized",
+            "admissible",
+            "zero-modulus",
+            "checked-at-2",
+            "stabilized-at-2",
+        ],
     )
     def test_bad_level_or_modulus(self, call):
         with pytest.raises(InvalidInput):
@@ -72,6 +81,50 @@ class TestDefinition:
 def test_nonpositive_prime_rejected(symbol, p):
     with pytest.raises(InvalidInput):
         symbol(3, p, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: symbol_prime_checked(26, 13, 2), NotCoprime),
+        (lambda: symbol_stabilized(26, 13, 2), NotCoprime),
+        (lambda: symbol_power_shortcut(26, 13, 2), NotCoprime),
+        (lambda: zolotarev_prime(26, 13, 2), NotCoprime),
+        (lambda: symbol_power_shortcut(3, 13, 0), InvalidInput),
+        (lambda: zolotarev_prime(3, 13, 0), InvalidInput),
+        (lambda: zolotarev_semiprime(4, 3, 5, 0), InvalidInput),
+        (lambda: symbol_prime_checked(3, 13, -1), InvalidInput),
+    ],
+    ids=[
+        "checked-not-coprime",
+        "stabilized-not-coprime",
+        "shortcut-not-coprime",
+        "zolotarev-not-coprime",
+        "shortcut-level-0",
+        "zolotarev-level-0",
+        "semiprime-level-0",
+        "checked-negative-level",
+    ],
+)
+def test_prime_level_argument_checks(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "symbol, levels",
+    [
+        (symbol_prime_checked, range(9)),
+        (symbol_stabilized, range(9)),
+        (symbol_power_shortcut, range(1, 9)),
+    ],
+    ids=["checked", "stabilized", "shortcut"],
+)
+def test_every_odd_a_is_a_power_residue_mod_2(symbol, levels):
+    for a in (1, 3, 5, 7, 99, -3):
+        for k in levels:
+            assert symbol(a, 2, k) == 1
 
 
 class TestChecked:
