@@ -42,10 +42,8 @@ from .symbols import (
     power_residues,
     residue_set,
     symbol_composite,
-    symbol_power_shortcut,
     symbol_prime_checked,
     symbol_prime_definition,
-    symbol_stabilized,
 )
 from .zolotarev import (
     PermutationTable,

@@ -4,14 +4,10 @@ Subcommands: symbol, subgroup, two-squares, semiprime-bits, qrp, selftest.
 Results are printed as JSON on stdout (the result object by default, the
 full run record with --record); diagnostics go to stderr.  Exit codes:
 0 success, 1 error, 2 precondition violation.
-
-The default seed comes from the RESIDUO_SEED environment variable; the
---seed flag overrides it.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -28,25 +24,11 @@ from .reductions import (
 from .symbols import residue_set
 from . import __version__
 
-SEED_ENV_VAR = "RESIDUO_SEED"
-
 _ORACLES = {
     "factor": FactorOracle,
     "definition": DefinitionOracle,
     "zolotarev": ZolotarevOracle,
 }
-
-
-def _effective_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInput(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _cmd_symbol(args):
@@ -65,25 +47,14 @@ def _cmd_subgroup(args):
 def _cmd_two_squares(args):
     oracle = _ORACLES[args.oracle]()
     verdict = two_squares_oracle(
-        args.n,
-        oracle,
-        mode=args.mode,
-        trials=args.trials,
-        floor=args.floor,
-        seed=_effective_seed(args),
+        args.n, oracle, mode=args.mode, trials=args.trials, seed=args.seed
     )
     return verdict.to_json(), oracle
 
 
 def _cmd_semiprime_bits(args):
     oracle = _ORACLES[args.oracle]()
-    result = semiprime_valuations(
-        args.n,
-        oracle,
-        search=args.search,
-        trial_cap=args.trial_cap,
-        seed=_effective_seed(args),
-    )
+    result = semiprime_valuations(args.n, oracle, trial_cap=args.trial_cap)
     return result.to_json(), oracle
 
 
@@ -175,8 +146,7 @@ def build_parser():
         "--mode", choices=("deterministic", "probabilistic"), default="deterministic"
     )
     p.add_argument("--trials", type=_natural, default=128)
-    p.add_argument("--floor", type=_natural, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", choices=tuple(_ORACLES), default="factor")
 
     p = add(
@@ -185,12 +155,6 @@ def build_parser():
         help="2-adic valuations and low bits of the factors of a semiprime",
     )
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument(
-        "--search",
-        choices=("deterministic_enum", "seeded_random"),
-        default="deterministic_enum",
-    )
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trial-cap", type=_natural, default=128)
     p.add_argument("--oracle", choices=tuple(_ORACLES), default="factor")
 
@@ -220,7 +184,7 @@ def _emit(args, result, oracle, started):
                 if key not in ("func", "command", "record") and value is not None
             },
             "result": result,
-            "seed": _effective_seed(args) if hasattr(args, "seed") else None,
+            "seed": getattr(args, "seed", None),
             "oracle_stats": None if oracle is None else oracle.stats.to_json(),
             "elapsed_ms": int((time.monotonic() - started) * 1000),
         }

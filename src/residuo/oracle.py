@@ -93,10 +93,6 @@ class CrsOracle:
             self.stats.record(k)
         return self._evaluate(m % n, n, k)
 
-    def reset_stats(self):
-        with self._lock:
-            self.stats = OracleStats()
-
     def factorization(self, n):
         """The cached prime factorization of n; computing it counts no
         query."""

@@ -16,7 +16,7 @@ and the modulus.
 
 import math
 import random
-from itertools import count, islice
+from itertools import count
 from typing import NamedTuple
 
 from .arithmetic import (
@@ -26,11 +26,11 @@ from .arithmetic import (
     trial_division,
     valuation,
 )
-from .errors import InvalidInput, NotCoprime, SearchExhausted, SearchSpaceTooLarge
+from .errors import InvalidInput, SearchExhausted, SearchSpaceTooLarge
 from .symbols import ENUMERATION_LIMIT, power_residues
 from .zolotarev import restricted_sign
 
-DEFAULT_FLOOR = 50
+CANDIDATE_FLOOR = 50
 DEFAULT_TRIAL_CAP = 128
 
 
@@ -102,14 +102,14 @@ def wedeniwski_bound(N):
     return 1.5 * log_n * log_n - 8.8 * log_n + 13
 
 
-def candidate_prime_set(N, floor=DEFAULT_FLOOR):
-    """All primes strictly below max(wedeniwski_bound(N), floor), ascending.
+def candidate_prime_set(N):
+    """All primes strictly below max(wedeniwski_bound(N), 50), ascending.
 
-    The floor keeps the set usable at desk scale, where the literal bound
-    dips below the least nonresidue; enlarging the set never breaks the
-    forward direction of the criterion.
+    The floor of 50 keeps the set usable at desk scale, where the literal
+    bound dips below the least nonresidue; it decides only up to N = 6011,
+    where the bound is under 50, so the set grows with N alone.
     """
-    bound = max(wedeniwski_bound(N) if N >= 3 else 0.0, floor)
+    bound = max(wedeniwski_bound(N) if N >= 3 else 0.0, CANDIDATE_FLOOR)
     return primes_upto(math.ceil(bound) - 1)
 
 
@@ -138,12 +138,7 @@ def two_squares_fermat(n_fact):
 
 
 def two_squares_oracle(
-    N,
-    oracle,
-    mode="deterministic",
-    trials=DEFAULT_TRIAL_CAP,
-    floor=DEFAULT_FLOOR,
-    seed=None,
+    N, oracle, mode="deterministic", trials=DEFAULT_TRIAL_CAP, seed=None
 ):
     """Decide solvability of N = X^2 + Y^2 with CRS queries only.
 
@@ -160,7 +155,7 @@ def two_squares_oracle(
     if mode == "probabilistic" and trials < 1:
         raise InvalidInput(f"probabilistic mode needs trials >= 1, got {trials}")
     method = "oracle_" + mode
-    candidates = candidate_prime_set(N, floor)
+    candidates = candidate_prime_set(N)
     found, rest = trial_division(N, max(candidates, default=1))
     for p, e in found:
         if p % 4 == 3 and e % 2 == 1:
@@ -178,23 +173,16 @@ def two_squares_oracle(
 
 
 def _coprime_draws(N, size, draws):
-    # The first `size` of `draws` coprime to N.
-    return islice((a for a in draws if math.gcd(a, N) == 1), size)
+    # The first `size` of `draws` coprime to N.  range, unlike islice,
+    # takes any int: none below 1, and sizes past sys.maxsize.
+    coprime = (a for a in draws if math.gcd(a, N) == 1)
+    return (a for _, a in zip(range(size), coprime))
 
 
 def _seeded_draws(seed, lo, hi):
     # Endless randrange(lo, hi) draws from a generator seeded with `seed`.
     rng = random.Random(seed)
     return iter(lambda: rng.randrange(lo, hi), None)
-
-
-def _search_candidates(N, search, trial_cap, seed):
-    # The first trial_cap candidates coprime to N.
-    if search == "deterministic_enum":
-        return _coprime_draws(N, trial_cap, count(2))
-    if search == "seeded_random":
-        return _coprime_draws(N, trial_cap, _seeded_draws(seed, 2, N - 1))
-    raise InvalidInput(f"unknown search strategy {search!r}")
 
 
 def _first_level(x, N, levels, oracle):
@@ -205,17 +193,12 @@ def _first_level(x, N, levels, oracle):
     )
 
 
-def semiprime_valuations(
-    N,
-    oracle,
-    search="deterministic_enum",
-    trial_cap=DEFAULT_TRIAL_CAP,
-    seed=None,
-):
+def semiprime_valuations(N, oracle, trial_cap=DEFAULT_TRIAL_CAP):
     """Compute {nu_2(p-1), nu_2(q-1)} for an odd semiprime N = pq with
     CRS queries only, then recover both factors mod 2^(v_large + 1).
 
-    Step 1: v = nu_2(N-1).  Step 2: find a with (a|N)_2 = -1.  Step 3: scan
+    Step 1: v = nu_2(N-1).  Step 2: find a with (a|N)_2 = -1 among the
+    first `trial_cap` integers from 2 up that are coprime to N.  Step 3: scan
     s_i = (a^(2^(i-1))|N)_{2^i} for i = 1..v; the first +1 at position j
     means both valuations equal j-1.  Otherwise v_small = v and Steps 4/5
     locate v_large with a second witness b.
@@ -226,7 +209,7 @@ def semiprime_valuations(
     _odd_semiprime(N, oracle.factorization(N))
     start = oracle.stats.snapshot()
     v = valuation(N - 1, 2)
-    for a in _search_candidates(N, search, trial_cap, seed):
+    for a in _coprime_draws(N, trial_cap, count(2)):
         if jacobi(a, N) == -1:
             break
     else:
@@ -238,7 +221,7 @@ def semiprime_valuations(
         v_small = v_large = j - 1
     else:
         v_small = v
-        for b in _search_candidates(N, search, trial_cap, seed):
+        for b in _coprime_draws(N, trial_cap, count(2)):
             if oracle.crs_query(pow(b, 1 << v, N), N, v + 1) == -1:
                 break
         else:
@@ -270,6 +253,9 @@ def recover_low_bits(N, v_small, v_large):
         raise InvalidInput(
             f"need 1 <= v_small <= v_large, got {v_small}, {v_large}"
         )
+    if v_large >= N.bit_length():
+        # nu_2(q-1) < log2 q <= log2 N for every factor q of N.
+        raise InvalidInput(f"v_large = {v_large} is too large for N = {N}")
     m = v_large + 1
     modulus = 1 << m
     q_bits = (1 + (1 << v_large)) % modulus
@@ -352,6 +338,4 @@ def valuation_relation(b, p, q):
 def lemma_l4_check(N, a, oracle):
     """True iff (a|N)_2 = (a^2|N)_4; a necessary condition for N being a
     sum of two squares."""
-    if math.gcd(a, N) != 1:
-        raise NotCoprime(f"gcd({a}, {N}) > 1")
-    return oracle.crs_query(a % N, N, 1) == oracle.crs_query(a * a % N, N, 2)
+    return oracle.crs_query(a, N, 1) == oracle.crs_query(a * a, N, 2)

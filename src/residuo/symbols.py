@@ -1,9 +1,8 @@
 """The rational 2^k-th power residue symbol.
 
-Three prime-level evaluation routes are provided: exhaustive solvability
-search (the brute-force reference), the Euler-type power criterion, and a
-clamp to the stabilization level.  The composite symbol is the product over
-prime factors with multiplicity.
+Two prime-level evaluation routes are provided: exhaustive solvability
+search (the brute-force reference) and the Euler-type power criterion.  The
+composite symbol is the product over prime factors with multiplicity.
 
 The residue sets behind the definition route are cached byte masks, built
 by the shape of n: a CRT product of the parts' masks at composite n, one
@@ -19,7 +18,7 @@ from itertools import compress
 from operator import and_
 from typing import NamedTuple
 
-from .arithmetic import Factorization, factorize, jacobi, valuation
+from .arithmetic import Factorization, factorize, valuation
 from .errors import (
     InvalidInput,
     NotCoprime,
@@ -155,7 +154,8 @@ def symbol_prime_checked(a, p, k):
     With v = nu_2(p-1), one power r = a^((p-1)/2^min(k, v)) decides both:
     r = 1 gives +1 and r = -1 with k <= v gives -1, since every lower level
     is then +1; anything else is a violation, reported at the lowest level
-    where the symbol is -1.  Levels above v equal level v.
+    where the symbol is -1.  Levels above v equal level v.  A composite p
+    that shows no such level is refused with `InvalidInput`.
     """
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
@@ -171,7 +171,9 @@ def symbol_prime_checked(a, p, k):
         return 1
     if r == p - 1 and k <= v:
         return -1
-    level = next(j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1)
+    level = next((j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1), None)
+    if level is None:
+        raise InvalidInput(f"p = {p} is not prime")
     raise PreconditionViolated(
         f"(a|{p}) at level 2^{level} is -1", prime=p, level=level
     )
@@ -192,27 +194,3 @@ def symbol_composite(a, n_fact: Factorization, k):
             # still hold for the composite symbol to be well defined.
             symbol_prime_checked(a, p, k)
     return result
-
-
-def symbol_stabilized(a, p, k):
-    """(a|p)_{2^k} with k clamped to the stabilization level nu_2(p-1);
-    the clamp does not change the value for any k."""
-    if p < 1:
-        raise InvalidInput(f"p must be >= 1, got {p}")
-    if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
-    return symbol_prime_definition(a, p, min(k, valuation(p - 1, 2)))
-
-
-def symbol_power_shortcut(a, p, k):
-    """(a^(2^(k-1))|p)_{2^k} without exponentiating a: equals the quadratic
-    symbol (a|p)_2 when k <= nu_2(p-1) and +1 otherwise."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    if p < 1:
-        raise InvalidInput(f"p must be >= 1, got {p}")
-    if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
-    if k <= valuation(p - 1, 2):
-        return jacobi(a % p, p)
-    return 1

@@ -63,6 +63,8 @@ def permutation_sign(perm: PermutationTable):
 
 def multiplication_permutation(a, n, rset: ResidueClassSet):
     """The table x -> a*x mod n over rset.members."""
+    if n != rset.modulus:
+        raise InvalidInput(f"n = {n} is not the set's modulus {rset.modulus}")
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
     members = rset.members

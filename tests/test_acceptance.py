@@ -91,10 +91,10 @@ def test_criterion_09_two_squares_agreement():
     from residuo.reductions import two_squares_oracle
 
     oracle = FactorOracle()
-    assert two_squares_oracle(65, oracle, floor=50).solvable
-    assert not two_squares_oracle(21, oracle, floor=50).solvable
-    assert two_squares_oracle(11009, oracle, floor=50).solvable
-    assert not two_squares_oracle(11021, oracle, floor=50).solvable
+    assert two_squares_oracle(65, oracle).solvable
+    assert not two_squares_oracle(21, oracle).solvable
+    assert two_squares_oracle(11009, oracle).solvable
+    assert not two_squares_oracle(11021, oracle).solvable
     assert report.cases >= 10**4
 
 

@@ -110,7 +110,7 @@ class TestTwoSquares:
         assert run_json(capsys, "two-squares", "--n", "65")["solvable"] is True
         verdict = run_json(capsys, "two-squares", "--n", "21")
         assert verdict["solvable"] is False and verdict["certificate"] == "3"
-        verdict = run_json(capsys, "two-squares", "--n", "11021", "--floor", "50")
+        verdict = run_json(capsys, "two-squares", "--n", "11021")
         assert verdict["solvable"] is False
 
     def test_probabilistic_deterministic_given_seed(self, capsys):
@@ -280,15 +280,6 @@ class TestRunRecord:
         assert record["result"] == {"symbol": -1}
         assert record["oracle_stats"]["calls_total"] == 1
 
-    def test_seed_echoed_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESIDUO_SEED", "42")
-        code, out, _ = run(
-            capsys, "two-squares", "--n", "65", "--mode", "probabilistic",
-            "--trials", "5", "--record",
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 42
-
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RESIDUO_SEED", "42")
         code, out, _ = run(
@@ -298,14 +289,30 @@ class TestRunRecord:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
-    def test_bad_seed_env_exits_1(self, capsys, monkeypatch):
+    def test_seed_env_is_ignored(self, capsys, monkeypatch):
+        # The seed comes from --seed alone, 0 when the flag is absent.
         monkeypatch.setenv("RESIDUO_SEED", "abc")
-        code, out, err = run(
+        code, out, _ = run(
             capsys, "two-squares", "--n", "65", "--mode", "probabilistic",
+            "--record",
         )
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("two-squares", "--n", "65", "--floor", "50"),
+            ("semiprime-bits", "--n", "39", "--search", "seeded_random"),
+            ("semiprime-bits", "--n", "39", "--seed", "7"),
+        ],
+        ids=["floor", "search", "semiprime-seed"],
+    )
+    def test_removed_flags_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: RESIDUO_SEED")
+        assert err.startswith("error: unrecognized arguments")
 
     def test_stdout_is_single_json_line(self, capsys):
         code, out, _ = run(capsys, "qrp", "--n", "39", "--a", "10")

@@ -117,14 +117,6 @@ class TestStats:
             oracle.crs_query(5, 15, 1)
         assert oracle.stats.calls_total == 0
 
-    def test_reset_is_explicit(self):
-        oracle = FactorOracle()
-        oracle.crs_query(2, 15, 1)
-        oracle.crs_query(2, 15, 1)
-        assert oracle.stats.calls_total == 2
-        oracle.reset_stats()
-        assert oracle.stats.calls_total == 0
-
     def test_since_snapshot(self):
         oracle = FactorOracle()
         oracle.crs_query(2, 15, 1)

@@ -34,7 +34,7 @@ class TestWedeniwskiBound:
         assert wedeniwski_bound(65) == pytest.approx(2.4037, abs=1e-3)
         assert wedeniwski_bound(20) == pytest.approx(0.10, abs=0.02)
         # Literal formula with natural log; documented to disagree with the
-        # least-nonresidue values at small N, hence the floor elsewhere.
+        # least-nonresidue values at small N, hence the candidate floor.
         assert wedeniwski_bound(10**6) == pytest.approx(177.726, abs=1e-2)
 
     def test_rejects_small(self):
@@ -44,12 +44,15 @@ class TestWedeniwskiBound:
 
 class TestCandidatePrimeSet:
     def test_examples(self):
-        assert candidate_prime_set(65, 0) == [2]
-        assert candidate_prime_set(20, 0) == []
-        assert candidate_prime_set(65, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
+        # The floor of 50 decides up to N = 6011; above it the bound does.
+        below_50 = [p for p in range(50) if is_prime(p)]
+        assert candidate_prime_set(2) == candidate_prime_set(65) == below_50
+        assert candidate_prime_set(6011) == below_50
+        assert candidate_prime_set(10**4)[-1] == 59
+        assert candidate_prime_set(10**6)[-1] == 173
 
     def test_strictly_below_bound(self):
-        primes = candidate_prime_set(10**6, 0)
+        primes = candidate_prime_set(10**6)
         bound = wedeniwski_bound(10**6)
         assert all(p < bound for p in primes)
         assert primes == sorted(primes)
@@ -79,8 +82,8 @@ class TestTwoSquaresFermat:
 class TestTwoSquaresOracle:
     def test_examples(self):
         oracle = FactorOracle()
-        assert not two_squares_oracle(11021, oracle, floor=50).solvable
-        assert two_squares_oracle(11009, oracle, floor=50).solvable
+        assert not two_squares_oracle(11021, oracle).solvable
+        assert two_squares_oracle(11009, oracle).solvable
         assert two_squares_oracle(4, oracle).solvable
 
     def test_agrees_with_fermat_small(self):
@@ -146,15 +149,14 @@ class TestSemiprimeValuations:
         # All loops finish after O(log N) runs; per-run query bound.
         oracle = FactorOracle()
         for n, q in ((39, 13), (561 // 11, 17), (1457, 47)):
-            oracle.reset_stats()
             res = semiprime_valuations(n, oracle, trial_cap=128)
             budget = valuation(n - 1, 2) + valuation(q - 1, 2) + 128 + 2
             assert res.stats.calls_total <= budget
 
-    def test_seeded_random_search(self):
-        oracle = DefinitionOracle()
-        res = semiprime_valuations(39, oracle, search="seeded_random", seed=11)
-        assert (res.v_small, res.v_large) == (1, 2)
+    @pytest.mark.parametrize("trial_cap", [2**64, 10**30])
+    def test_trial_cap_past_sys_maxsize(self, trial_cap):
+        res = semiprime_valuations(39, FactorOracle(), trial_cap=trial_cap)
+        assert res[:5] == semiprime_valuations(39, FactorOracle())[:5]
 
     def test_rejects_even(self):
         with pytest.raises(InvalidInput):
@@ -164,6 +166,13 @@ class TestSemiprimeValuations:
         # jacobi(2, 15) = +1, so one trial finds no nonresidue.
         with pytest.raises(SearchExhausted):
             semiprime_valuations(15, FactorOracle(), trial_cap=1)
+
+    @pytest.mark.parametrize("trial_cap", [0, -1, -(2**64)])
+    def test_trial_cap_below_one_finds_nothing(self, trial_cap):
+        oracle = FactorOracle()
+        with pytest.raises(SearchExhausted):
+            semiprime_valuations(39, oracle, trial_cap=trial_cap)
+        assert oracle.stats.calls_total == 0
 
     @pytest.mark.parametrize("n", [13, 9, 25, 10007, 105, 27, 45, 3125, 1155])
     def test_rejects_prime_and_square(self, n):
@@ -192,6 +201,13 @@ class TestRecoverLowBits:
             recover_low_bits(39, 2, 1)
         with pytest.raises(InvalidInput):
             recover_low_bits(40, 1, 2)
+
+    def test_v_large_bounded_by_bit_length(self):
+        # nu_2(q-1) < log2 N for every factor q of N, and 2^v_large would
+        # otherwise size the answer.
+        assert recover_low_bits(39, 1, 5) == (7, 33)
+        with pytest.raises(InvalidInput):
+            recover_low_bits(39, 1, 6)
 
     def test_product_congruence(self):
         for v_small in range(1, 4):
@@ -318,8 +334,15 @@ class TestLemmaL4:
         assert not lemma_l4_check(11021, 2, oracle)
 
     def test_not_coprime(self):
+        oracle = FactorOracle()
         with pytest.raises(NotCoprime):
-            lemma_l4_check(65, 5, FactorOracle())
+            lemma_l4_check(65, 5, oracle)
+        assert oracle.stats.calls_total == 0
+
+    @pytest.mark.parametrize("n, a", [(0, 1), (0, -1), (0, 5), (1, 3), (-7, 2)])
+    def test_modulus_below_2(self, n, a):
+        with pytest.raises(InvalidInput):
+            lemma_l4_check(n, a, FactorOracle())
 
     def test_necessity_small(self):
         oracle = FactorOracle()

@@ -18,14 +18,27 @@ from residuo.symbols import (
     require_admissible,
     residue_set,
     symbol_composite,
-    symbol_power_shortcut,
     symbol_prime_checked,
     symbol_prime_definition,
-    symbol_stabilized,
 )
 from residuo.zolotarev import zolotarev_prime, zolotarev_semiprime
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
+
+
+def stabilized(a, p, k):
+    # Stabilization: every level above nu_2(p-1) equals level nu_2(p-1).
+    return symbol_prime_definition(a, p, min(k, valuation(p - 1, 2)))
+
+
+def lifted(a, p, k):
+    # The power shortcut's left side, (a^(2^(k-1))|p)_{2^k}.
+    return symbol_prime_definition(pow(a, 1 << (k - 1), p), p, k)
+
+
+def power_shortcut(a, p, k):
+    # The power shortcut's right side: (a|p)_2 up to level nu_2(p-1), else +1.
+    return jacobi(a, p) if k <= valuation(p - 1, 2) else 1
 
 
 class TestDefinition:
@@ -46,20 +59,11 @@ class TestDefinition:
         "call",
         [
             lambda: symbol_prime_definition(3, 7, -1),
-            lambda: symbol_stabilized(3, 7, -1),
             lambda: require_admissible(3, 7, 0),
             lambda: symbol_prime_definition(3, 0, 1),
             lambda: symbol_prime_checked(3, 2, -1),
-            lambda: symbol_stabilized(3, 2, -1),
         ],
-        ids=[
-            "definition",
-            "stabilized",
-            "admissible",
-            "zero-modulus",
-            "checked-at-2",
-            "stabilized-at-2",
-        ],
+        ids=["definition", "admissible", "zero-modulus", "checked-at-2"],
     )
     def test_bad_level_or_modulus(self, call):
         with pytest.raises(InvalidInput):
@@ -74,10 +78,7 @@ class TestDefinition:
 
 
 @pytest.mark.parametrize("p", [0, -7])
-@pytest.mark.parametrize(
-    "symbol",
-    [symbol_stabilized, symbol_prime_checked, symbol_power_shortcut, zolotarev_prime],
-)
+@pytest.mark.parametrize("symbol", [symbol_prime_checked, zolotarev_prime])
 def test_nonpositive_prime_rejected(symbol, p):
     with pytest.raises(InvalidInput):
         symbol(3, p, 1)
@@ -87,23 +88,21 @@ def test_nonpositive_prime_rejected(symbol, p):
     "call, error",
     [
         (lambda: symbol_prime_checked(26, 13, 2), NotCoprime),
-        (lambda: symbol_stabilized(26, 13, 2), NotCoprime),
-        (lambda: symbol_power_shortcut(26, 13, 2), NotCoprime),
         (lambda: zolotarev_prime(26, 13, 2), NotCoprime),
-        (lambda: symbol_power_shortcut(3, 13, 0), InvalidInput),
         (lambda: zolotarev_prime(3, 13, 0), InvalidInput),
         (lambda: zolotarev_semiprime(4, 3, 5, 0), InvalidInput),
         (lambda: symbol_prime_checked(3, 13, -1), InvalidInput),
+        (lambda: symbol_prime_checked(2, 15, 1), InvalidInput),
+        (lambda: symbol_prime_checked(-7, 9, 1), InvalidInput),
     ],
     ids=[
         "checked-not-coprime",
-        "stabilized-not-coprime",
-        "shortcut-not-coprime",
         "zolotarev-not-coprime",
-        "shortcut-level-0",
         "zolotarev-level-0",
         "semiprime-level-0",
         "checked-negative-level",
+        "checked-composite-15",
+        "checked-composite-9",
     ],
 )
 def test_prime_level_argument_checks(call, error):
@@ -116,8 +115,8 @@ def test_prime_level_argument_checks(call, error):
     "symbol, levels",
     [
         (symbol_prime_checked, range(9)),
-        (symbol_stabilized, range(9)),
-        (symbol_power_shortcut, range(1, 9)),
+        (stabilized, range(9)),
+        (lifted, range(1, 9)),
     ],
     ids=["checked", "stabilized", "shortcut"],
 )
@@ -212,36 +211,29 @@ class TestComposite:
 
 class TestStabilized:
     def test_examples(self):
-        assert symbol_stabilized(4, 13, 99) == -1
-        assert symbol_stabilized(10, 13, 0) == 1
-        assert symbol_stabilized(2, 13, 3) == symbol_prime_definition(2, 13, 2)
+        assert symbol_prime_definition(4, 13, 99) == stabilized(4, 13, 99) == -1
+        assert symbol_prime_definition(10, 13, 0) == stabilized(10, 13, 0) == 1
+        assert symbol_prime_definition(2, 13, 3) == symbol_prime_definition(2, 13, 2)
 
     def test_clamp_is_exact(self):
         for p in [3, 5, 7, 13, 17, 41, 97]:
             m = valuation(p - 1, 2)
             for a in range(1, p):
                 for k in range(0, m + 4):
-                    assert symbol_stabilized(a, p, k) == symbol_prime_definition(
-                        a, p, k
-                    )
+                    assert symbol_prime_definition(a, p, k) == stabilized(a, p, k)
 
 
 class TestPowerShortcut:
     def test_examples(self):
-        assert symbol_power_shortcut(2, 13, 2) == -1
-        assert symbol_power_shortcut(2, 13, 3) == 1
-        assert symbol_power_shortcut(2, 3, 2) == 1
+        assert lifted(2, 13, 2) == power_shortcut(2, 13, 2) == -1
+        assert lifted(2, 13, 3) == power_shortcut(2, 13, 3) == 1
+        assert lifted(2, 3, 2) == power_shortcut(2, 3, 2) == 1
 
     def test_matches_definition(self):
-        for p in PRIMES_200:
-            if p >= 300 or p == 2:
-                continue
+        for p in PRIMES_200[1:]:
             for k in range(1, 6):
                 for a in range(1, p):
-                    lifted = pow(a, 1 << (k - 1), p)
-                    assert symbol_power_shortcut(a, p, k) == symbol_prime_definition(
-                        lifted, p, k
-                    )
+                    assert lifted(a, p, k) == power_shortcut(a, p, k)
 
 
 class TestResidueSet:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from residuo.errors import (
+    InvalidInput,
     NotAdmissibleModulus,
     NotAPermutation,
     NotClosedUnderAction,
@@ -81,6 +82,11 @@ class TestMultiplicationPermutation:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             multiplication_permutation(3, 15, residue_set(15, 1, True))
+
+    @pytest.mark.parametrize("n", [0, 13, -15])
+    def test_modulus_must_be_the_sets(self, n):
+        with pytest.raises(InvalidInput):
+            multiplication_permutation(1, n, residue_set(15, 1, True))
 
 
 class TestRestrictedSign:
@@ -172,8 +178,6 @@ class TestProductPermutationSign:
         assert product_permutation_sign([-1], [17]) == -1
 
     def test_length_mismatch(self):
-        from residuo.errors import InvalidInput
-
         with pytest.raises(InvalidInput):
             product_permutation_sign([1, -1], [2])
 
