@@ -138,7 +138,7 @@ def two_squares_fermat(n_fact):
 
 
 def two_squares_oracle(
-    N, oracle, mode="deterministic", trials=DEFAULT_TRIAL_CAP, seed=None
+    N, oracle, mode="deterministic", trials=DEFAULT_TRIAL_CAP, seed=0
 ):
     """Decide solvability of N = X^2 + Y^2 with CRS queries only.
 
@@ -146,7 +146,8 @@ def two_squares_oracle(
     = 3 mod 4 found at odd multiplicity settles the question immediately.
     On the remaining cofactor the criterion (a|N')_2 = (a^2|N')_4 is tested
     for every candidate prime (deterministic) or for `trials` random units
-    (probabilistic); any inequality certifies unsolvability.
+    drawn from `seed`, 0 by default (probabilistic); any inequality
+    certifies unsolvability.
     """
     if N < 1:
         raise InvalidInput(f"N must be >= 1, got {N}")

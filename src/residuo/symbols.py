@@ -6,8 +6,9 @@ composite symbol is the product over prime factors with multiplicity.
 
 The residue sets behind the definition route are cached byte masks, built
 by the shape of n: a CRT product of the parts' masks at composite n, one
-walk of the subgroup of 2^k-th powers at an odd prime, and squaring level by
-level elsewhere (see `power_residues`).
+walk of the subgroup of 2^k-th powers at an odd prime, shared by every level
+above nu_2(p-1) and by both kinds, and squaring level by level elsewhere (see
+`power_residues`).
 
 Symbols take values in {+1, -1}, represented as plain ints.
 """
@@ -60,9 +61,13 @@ def power_residues(n, k, units_only):
       exactly when a mod q is in the set mod q for every q, so the mask is
       the bytewise AND of each part's mask tiled n/q times.  Only (n, k)
       and the parts' entries are cached, no lower level at n.
-    - an odd prime n, k >= 1: every unit is g^i for a primitive root g, so
-      the image is the cyclic subgroup generated by h = g^(2^k), walked
-      once from 1, plus 0 over all residues.
+    - an odd prime n, k >= 1: every unit is g^i for a primitive root g
+      (searched once per prime), so the image of the units is the cyclic
+      subgroup generated by h = g^(2^k), of order (n-1)/2^k, walked that
+      many steps from 1.  With v = nu_2(n-1) the subgroup stops shrinking
+      at level v, so every k > v returns the level-v mask itself, and the
+      all-residues mask is the units mask with byte 0 set, not a second
+      walk.
     - k = 0, n = 1, n = 2 and prime powers: level 0 is every residue, or
       the units found by zeroing the multiples of each prime factor of n;
       each higher level squares the members of the level below.
@@ -90,13 +95,17 @@ def power_residues(n, k, units_only):
         )
         return reduce(and_, masks).to_bytes(n, "big")
     if n > 2 and factors[0][1] == 1:
+        v = valuation(n - 1, 2)
+        if k > v:
+            return power_residues(n, v, units_only)
+        if not units_only:
+            return b"\x01" + power_residues(n, k, True)[1:]
         h = pow(_primitive_root(n), 1 << k, n)
         mask = bytearray(n)
         x = 1
-        while not mask[x]:
+        for _ in range((n - 1) >> k):
             mask[x] = 1
             x = x * h % n
-        mask[0] = not units_only
         return bytes(mask)
     prev = power_residues(n, k - 1, units_only)
     mask = bytearray(n)
@@ -105,6 +114,7 @@ def power_residues(n, k, units_only):
     return bytes(mask)
 
 
+@lru_cache(maxsize=4096)
 def _primitive_root(p):
     """The least generator of the units mod an odd prime p."""
     cofactors = [(p - 1) // r for r in factorize(p - 1).primes()]

@@ -108,6 +108,19 @@ class TestTwoSquaresOracle:
         ]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_probabilistic_default_seed_is_zero(self):
+        # One trial at 11021 = 103 * 107 certifies unsolvability for about
+        # half the draws, so an unseeded default would disagree here.
+        oracle = FactorOracle()
+        seeded = two_squares_oracle(
+            11021, oracle, mode="probabilistic", trials=1, seed=0
+        )
+        runs = [
+            two_squares_oracle(11021, oracle, mode="probabilistic", trials=1)
+            for _ in range(20)
+        ]
+        assert runs == [seeded] * 20
+
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             two_squares_oracle(65, FactorOracle(), mode="psychic")

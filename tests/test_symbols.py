@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -349,8 +350,34 @@ class TestResidueMasksAtScale:
         p, q, k = 499, 1999, 3
         power_residues.cache_clear()
         power_residues(p * q, k, True)
-        assert power_residues.cache_info().currsize == 3
+        # (pq, 3), and at each prime its level-3 key beside the level-1 mask
+        # that key shares, since nu_2(p - 1) = nu_2(q - 1) = 1 < 3.
+        assert power_residues.cache_info().currsize == 5
         hits = power_residues.cache_info().hits
         power_residues(p, k, True)
         power_residues(q, k, True)
         assert power_residues.cache_info().hits == hits + 2
+
+    def test_every_mask_digest(self):
+        # Every mask for n < 3000, k <= 6 and both kinds, hashed in that
+        # order, so a change of construction cannot change a single byte.
+        digest = hashlib.sha256()
+        for n in range(1, 3000):
+            for k in range(7):
+                for units in (True, False):
+                    digest.update(power_residues(n, k, units))
+        assert digest.hexdigest() == (
+            "b1c005867a49fadb77919990b21b8b6bc4e0ff52744763b1700f763a3af92a40"
+        )
+
+    def test_odd_prime_builds_each_subgroup_once(self):
+        # Levels above nu_2(p - 1) are the level-nu_2(p - 1) mask itself, and
+        # the all-residues mask is the units mask with 0 added.
+        for p in filter(is_prime, range(3, 3000)):
+            v = valuation(p - 1, 2)
+            for k in range(1, 9):
+                for units in (True, False):
+                    mask = power_residues(p, k, units)
+                    assert mask is power_residues(p, min(k, v), units), (p, k)
+                units_mask = power_residues(p, k, True)
+                assert power_residues(p, k, False) == b"\x01" + units_mask[1:]
