@@ -6,7 +6,10 @@ The primes below 2^16 come from one sieve, built on first use and then kept.
 `primes_upto` reads its lists from it. `trial_division` tests n against all
 the primes it needs at once, with one gcd against their product: the
 primorial of the primes below 2^j, for the least j that covers min(bound,
-sqrt(n)), each of the 17 built at most once.
+sqrt(n)), each of the 17 built at most once. `factorize` splits what trial
+division leaves with Pollard's p - 1, stage 1 only, before Brent's rho; the
+stage's exponent comes from the same sieve in 11 blocks, each built at most
+once.
 """
 
 import functools
@@ -30,6 +33,12 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_EXTRA_ROUNDS = 64
 
 _RHO_ITERATION_CAP = 10**7
+
+# Stage 1 of the p - 1 split covers the primes below 2^_PM1_BITS = 4096,
+# each to its largest power below that bound, except 2, which is raised to
+# 2^64: the reductions study primes p = 1 + c*2^v with a large v, and
+# nu_2(p - 1) < 64 for every p < 2^65.
+_PM1_BITS = 12
 
 # Primes below this bound come from the one cached sieve; above it,
 # `primes_upto` sieves afresh and `trial_division` steps odd d.
@@ -166,6 +175,20 @@ def _primorial(bits):
     return _primorial(bits - 1) * math.prod(block)
 
 
+@functools.cache
+def _pm1_block(bits):
+    """The stage-1 prime powers of the p - 1 split for the primes in
+    [2^(bits-1), 2^bits), 2 <= bits <= _PM1_BITS, and their product."""
+    lo = 1 << (bits - 1)
+    powers = []
+    for r in compress(range(lo, 2 * lo), _small_prime_mask()[lo : 2 * lo]):
+        q = r
+        while q * r < 1 << _PM1_BITS:
+            q *= r
+        powers.append(1 << 64 if r == 2 else q)
+    return math.prod(powers), tuple(powers)
+
+
 def primes_upto(bound):
     """All primes p <= bound, ascending.
 
@@ -224,6 +247,31 @@ def trial_division(n, bound):
     return found, n
 
 
+def _pm1_split(n):
+    """Pollard's p - 1, stage 1 with base 2: a nontrivial factor of odd
+    composite n, or None. It finds one when the order of 2 mod some prime
+    of n divides the stage-1 exponent and mod some other prime does not,
+    or divides it from an earlier prime power on. Each block costs one pow
+    and one gcd; a block that reaches order 1 at every prime at once is
+    redone one prime power at a time."""
+    a = 2
+    for bits in range(2, _PM1_BITS + 1):
+        product, powers = _pm1_block(bits)
+        b = pow(a, product, n)
+        g = math.gcd(b - 1, n)
+        if g == 1:
+            a = b
+            continue
+        if g == n:
+            for q in powers:
+                a = pow(a, q, n)
+                g = math.gcd(a - 1, n)
+                if g != 1:
+                    break
+        return g if g != n else None
+    return None
+
+
 def _rho_split(n, budget):
     """Brent's cycle-finding variant of Pollard rho. Returns a nontrivial
     factor of composite n, consuming iterations from budget (a one-item
@@ -264,8 +312,12 @@ def _rho_split(n, budget):
 
 
 def factorize(n):
-    """Complete prime factorization of n >= 1 (trial division, then rho).
+    """Complete prime factorization of n >= 1.
 
+    Trial division strips the primes up to 10^4; every n below 10^8 ends
+    there. Each composite cofactor left is split by the p - 1 stage
+    (`_pm1_split`) and, when that finds nothing, by Brent's rho, which
+    raises FactorizationTimeout once its iterations for this n pass 10^7.
     Deterministic for a fixed n; intended for desk-scale inputs.
     """
     if n < 1:
@@ -281,7 +333,7 @@ def factorize(n):
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _rho_split(m, budget)
+        d = _pm1_split(m) or _rho_split(m, budget)
         stack.append(d)
         stack.append(m // d)
     return Factorization(tuple(sorted(counts.items())))

@@ -38,7 +38,9 @@ class PreconditionViolated(ResiduoError):
 
 
 class FactorizationTimeout(ResiduoError):
-    """The rho splitting loop exceeded its iteration cap."""
+    """Factorization gave up on a cofactor: the p - 1 stage found no split,
+    and Brent's rho then passed its iteration cap (10^7 for one n) or tried
+    every constant without a split."""
 
 
 class NotAPermutation(ResiduoError):

@@ -14,6 +14,7 @@ from residuo.arithmetic import (
     valuation,
 )
 from residuo.errors import (
+    FactorizationTimeout,
     InvalidInput,
     InvalidModulus,
     UndefinedValuation,
@@ -87,7 +88,17 @@ class TestIsPrime:
         assert not is_prime((2**89 - 1) * (2**61 - 1))
 
 
+# Two 32-bit safe primes, (p - 1)/2 prime, and a prime with a smooth p - 1.
+SAFE_P, SAFE_Q = 4294965887, 4294967087
+DEEP_P = 3 * 2**30 + 1
+
+
 class TestFactorize:
+    def test_fixed_primes(self):
+        for p in (SAFE_P, SAFE_Q):
+            assert is_prime(p) and is_prime((p - 1) // 2)
+        assert is_prime(DEEP_P)
+
     def test_examples(self):
         assert factorize(65).factors == ((5, 1), (13, 1))
         assert factorize(195).factors == ((3, 1), (5, 1), (13, 1))
@@ -108,6 +119,19 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(InvalidInput):
             factorize(0)
+
+    def test_rho_timeout(self, monkeypatch):
+        # Both factors are safe primes, so the order of 2 has a prime factor
+        # near 2^31 at each and the p - 1 stage leaves the split to rho.
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
+        with pytest.raises(FactorizationTimeout):
+            factorize(SAFE_P * SAFE_Q)
+
+    def test_pm1_runs_before_rho(self, monkeypatch):
+        # 3 * 2^30 + 1 is prime and its p - 1 is smooth; no rho iteration
+        # is left to spend.
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
+        assert factorize(DEEP_P * SAFE_Q).factors == ((DEEP_P, 1), (SAFE_Q, 1))
 
 
 def _odd_d_trial_division(n, bound):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from residuo import selftest
+from residuo import arithmetic, selftest
 from residuo.cli import main
 
 
@@ -145,6 +145,14 @@ class TestSemiprimeBits:
         code, _, err = run(capsys, "semiprime-bits", "--n", "15", "--trial-cap", "1")
         assert code == 1
         assert "no quadratic nonresidue" in err
+
+    def test_factorization_timeout_exits_1(self, capsys, monkeypatch):
+        # The product of two 32-bit safe primes needs rho, capped here.
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
+        code, out, err = run(capsys, "semiprime-bits", "--n", str(4294965887 * 4294967087))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "rho" in err
 
     @pytest.mark.parametrize("n", ["13", "9", "105", "27", "3125"])
     def test_prime_or_square_exits_1(self, capsys, n):
