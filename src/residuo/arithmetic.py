@@ -22,6 +22,7 @@ from .errors import (
     FactorizationTimeout,
     InvalidInput,
     InvalidModulus,
+    SearchSpaceTooLarge,
     UndefinedValuation,
 )
 
@@ -43,6 +44,10 @@ _PM1_BITS = 12
 # Primes below this bound come from the one cached sieve; above it,
 # `primes_upto` sieves afresh and `trial_division` steps odd d.
 _SIEVE_LIMIT = 1 << 16
+
+# `primes_upto` refuses a bound above this before it allocates: its sieve
+# and list then take about 16 MB at most.
+_SIEVE_CEILING = 1 << 22
 
 
 class Factorization(NamedTuple):
@@ -193,8 +198,10 @@ def primes_upto(bound):
     """All primes p <= bound, ascending.
 
     Bounds below 2^16 read the cached sieve; a larger bound sieves afresh
-    and keeps nothing.
+    and keeps nothing. A bound above 2^22 raises SearchSpaceTooLarge.
     """
+    if bound > _SIEVE_CEILING:
+        raise SearchSpaceTooLarge(f"bound = {bound} exceeds the sieve ceiling")
     if bound < 2:
         return []
     mask = _small_prime_mask() if bound < _SIEVE_LIMIT else _prime_mask(bound)
@@ -274,10 +281,8 @@ def _pm1_split(n):
 
 def _rho_split(n, budget):
     """Brent's cycle-finding variant of Pollard rho. Returns a nontrivial
-    factor of composite n, consuming iterations from budget (a one-item
+    factor of odd composite n, consuming iterations from budget (a one-item
     list used as a mutable counter)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y

@@ -15,6 +15,7 @@ from .arithmetic import is_prime
 from .errors import InvalidInput, PreconditionViolated, ResiduoError
 from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
+    DEFAULT_TRIAL_CAP,
     qrp_decide,
     qrp_decide_c2,
     qrp_decide_permutation,
@@ -145,7 +146,7 @@ def build_parser():
     p.add_argument(
         "--mode", choices=("deterministic", "probabilistic"), default="deterministic"
     )
-    p.add_argument("--trials", type=_natural, default=128)
+    p.add_argument("--trials", type=_natural, default=DEFAULT_TRIAL_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", choices=tuple(_ORACLES), default="factor")
 
@@ -155,7 +156,7 @@ def build_parser():
         help="2-adic valuations and low bits of the factors of a semiprime",
     )
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--trial-cap", type=_natural, default=128)
+    p.add_argument("--trial-cap", type=_natural, default=DEFAULT_TRIAL_CAP)
     p.add_argument("--oracle", choices=tuple(_ORACLES), default="factor")
 
     p = add("qrp", _cmd_qrp, help="decide quadratic residuosity mod a semiprime")

@@ -35,10 +35,22 @@ from .zolotarev import zolotarev_prime, zolotarev_semiprime
 
 class OracleStats:
     """Query accounting: calls per level k, from which the total and the
-    largest k seen are read."""
+    largest k seen are read.  Equality, hash and repr go by the counts, so
+    a result that carries its stats compares and prints by value."""
 
     def __init__(self, calls_by_k=()):
         self.calls_by_k = Counter(calls_by_k)
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleStats):
+            return NotImplemented
+        return self.calls_by_k == other.calls_by_k
+
+    def __hash__(self):
+        return hash(frozenset((+self.calls_by_k).items()))
+
+    def __repr__(self):
+        return f"OracleStats({dict(sorted(self.calls_by_k.items()))})"
 
     @property
     def calls_total(self):

@@ -77,28 +77,31 @@ def _admissible_queries(n, max_k):
             yield m, k
 
 
-def sweep_euler(prime_bound, max_k):
-    """Euler criterion (`symbol_prime_checked`) vs exhaustive definition on
-    all admissible (a, p, k)."""
-    report = SuiteReport("euler")
-    for p in primes_upto(prime_bound):
+def _sweep_prime_route(name, route, primes, max_k):
+    report = SuiteReport(name)
+    for p in primes:
         for a, k in _admissible_queries(p, max_k):
-            report.check(
-                symbol_prime_checked(a, p, k) == symbol_prime_definition(a, p, k),
-                f"a={a} p={p} k={k}",
-            )
+            ok = route(a, p, k) == symbol_prime_definition(a, p, k)
+            report.check(ok, f"a={a} p={p} k={k}")
     return report
 
 
+def sweep_euler(prime_bound, max_k):
+    """Euler criterion (`symbol_prime_checked`) vs exhaustive definition on
+    all admissible (a, p, k)."""
+    primes = primes_upto(prime_bound)
+    return _sweep_prime_route("euler", symbol_prime_checked, primes, max_k)
+
+
 def sweep_stabilization(prime_bound, max_k):
-    """Unit residue sets stabilize at level nu_2(p-1)."""
+    """Unit residue sets stabilize at level v = nu_2(p-1): every level from
+    v on is the image {x^(2^v) mod p : 1 <= x < p}, computed here without
+    the residue-set cache."""
     report = SuiteReport("stabilization")
-    for p in primes_upto(prime_bound):
-        if p == 2:
-            continue
-        m = valuation(p - 1, 2)
-        stable = residue_set(p, m, True).members
-        for k in range(m, max_k + 1):
+    for p in primes_upto(prime_bound)[1:]:
+        v = valuation(p - 1, 2)
+        stable = tuple(sorted({pow(x, 1 << v, p) for x in range(1, p)}))
+        for k in range(v, max_k + 1):
             report.check(
                 residue_set(p, k, True).members == stable, f"p={p} k={k}"
             )
@@ -106,17 +109,9 @@ def sweep_stabilization(prime_bound, max_k):
 
 
 def sweep_t3(prime_bound, max_k):
-    """Prime Zolotarev: permutation sign vs exhaustive definition."""
-    report = SuiteReport("t3")
-    for p in primes_upto(prime_bound):
-        if p == 2:
-            continue
-        for a, k in _admissible_queries(p, max_k):
-            report.check(
-                zolotarev_prime(a, p, k) == symbol_prime_definition(a, p, k),
-                f"a={a} p={p} k={k}",
-            )
-    return report
+    """Prime Zolotarev: permutation sign vs exhaustive definition, odd p."""
+    primes = primes_upto(prime_bound)[1:]
+    return _sweep_prime_route("t3", zolotarev_prime, primes, max_k)
 
 
 def sweep_t5(max_k, prime_bound=None, product_bound=None):
@@ -147,7 +142,7 @@ def sweep_classical_zolotarev(n_bound):
         for m in range(1, n):
             if jacobi(m, n) == 0:
                 continue
-            sign = permutation_sign(multiplication_permutation(m, n, full))
+            sign = permutation_sign(multiplication_permutation(m, full))
             report.check(jacobi(m, n) == sign, f"m={m} n={n}")
     return report
 
@@ -164,8 +159,8 @@ def sweep_counterexample(limit):
         sym = symbol_composite(m, fact, 2)
         units = residue_set(n, 1, True)
         full = residue_set(n, 1, False)
-        sign_u = permutation_sign(multiplication_permutation(m, n, units))
-        sign_f = permutation_sign(multiplication_permutation(m, n, full))
+        sign_u = permutation_sign(multiplication_permutation(m, units))
+        sign_f = permutation_sign(multiplication_permutation(m, full))
         report.check(
             sym == -1 and sign_u == 1 and sign_f == 1, f"n={n} m={m}"
         )

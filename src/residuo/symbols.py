@@ -164,8 +164,12 @@ def symbol_prime_checked(a, p, k):
     With v = nu_2(p-1), one power r = a^((p-1)/2^min(k, v)) decides both:
     r = 1 gives +1 and r = -1 with k <= v gives -1, since every lower level
     is then +1; anything else is a violation, reported at the lowest level
-    where the symbol is -1.  Levels above v equal level v.  A composite p
-    that shows no such level is refused with `InvalidInput`.
+    where the symbol is -1.  Levels above v equal level v.
+
+    p must be prime, and every oracle passes only the primes of its
+    factorized modulus.  No primality test runs here, since it would cost
+    every query: a composite p can get an answer that means nothing, and
+    only one that shows no such level is refused with `InvalidInput`.
     """
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")

@@ -8,9 +8,10 @@ counterexample is included.
 """
 
 import math
+from itertools import compress
 from typing import NamedTuple
 
-from .arithmetic import is_prime, jacobi, primes_upto, valuation
+from .arithmetic import is_prime, primes_upto, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -61,10 +62,9 @@ def permutation_sign(perm: PermutationTable):
     return -1 if (n - cycles) & 1 else 1
 
 
-def multiplication_permutation(a, n, rset: ResidueClassSet):
-    """The table x -> a*x mod n over rset.members."""
-    if n != rset.modulus:
-        raise InvalidInput(f"n = {n} is not the set's modulus {rset.modulus}")
+def multiplication_permutation(a, rset: ResidueClassSet):
+    """The table x -> a*x mod n over rset.members, n = rset.modulus."""
+    n = rset.modulus
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
     members = rset.members
@@ -120,11 +120,16 @@ def restricted_sign(a, n, k, units_only):
 
 def zolotarev_prime(a, p, k):
     """(a|p)_{2^k} as the sign of multiplication-by-a restricted to the
-    level-(k-1) unit residue set mod p."""
+    level-(k-1) unit residue set mod p.
+
+    A p that is not prime is refused with NotAdmissibleModulus: p is prime
+    exactly when its level-0 unit mask holds phi(p) = p - 1 members."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
+    if power_residues(p, 0, True).count(1) != p - 1:
+        raise NotAdmissibleModulus(f"p = {p} is not prime")
     if a % p == 0:
         raise NotCoprime(f"p = {p} divides a = {a}")
     require_admissible(a, p, k)
@@ -169,9 +174,9 @@ def product_permutation_sign(signs, sizes):
 
 def find_tripleprime_counterexample(limit):
     """Smallest (n, m) in lexicographic order with n = pqr <= limit,
-    p = 3 mod 4, q, r = 1 mod 4 distinct primes, m coprime to n with
-    (m|p)_2 = (m|q)_2 = (m|r)_2 = +1 and (m|n)_4 = -1, yet both restricted
-    permutation signs (unit subgroup and full square set) are +1.
+    p = 3 mod 4, q, r = 1 mod 4 distinct primes, m a unit square mod n,
+    by the CRT (m|p)_2 = (m|q)_2 = (m|r)_2 = +1, with (m|n)_4 = -1, yet both
+    restricted permutation signs (unit subgroup and full square set) are +1.
 
     Returns None when no such pair exists up to the limit.
     """
@@ -186,11 +191,7 @@ def find_tripleprime_counterexample(limit):
         if p * q * r <= limit
     )
     for n, p, q, r in moduli:
-        for m in range(2, n):
-            if math.gcd(m, n) != 1:
-                continue
-            if jacobi(m % p, p) != 1 or jacobi(m % q, q) != 1 or jacobi(m % r, r) != 1:
-                continue
+        for m in compress(range(2, n), power_residues(n, 1, True)[2:]):
             sym = (
                 symbol_prime_definition(m, p, 2)
                 * symbol_prime_definition(m, q, 2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from residuo.errors import (
     FactorizationTimeout,
     InvalidInput,
     InvalidModulus,
+    SearchSpaceTooLarge,
     UndefinedValuation,
 )
 
@@ -225,3 +227,18 @@ class TestPrimesUpto:
     @pytest.mark.parametrize("b", [2**16 - 1, 2**16, 2**16 + 500])
     def test_around_sieve_limit(self, b):
         assert primes_upto(b) == [p for p in range(b + 1) if is_prime(p)]
+
+    @pytest.mark.parametrize("b", [2**22 + 1, 10**30])
+    def test_ceiling_refused_before_allocating(self, b):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                primes_upto(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_at_ceiling(self):
+        primes = primes_upto(2**22)
+        assert len(primes) == 295947 and primes[-1] == 4194301

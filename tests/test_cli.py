@@ -248,6 +248,24 @@ class TestSelftest:
         }
         assert "euler: FAIL (1 cases), first failure: a=2 p=3 k=1" in err
 
+    def test_stabilization_checks_the_literal_image(self, monkeypatch):
+        # A residue_set that is wrong at every level from nu_2(p-1) on, the
+        # same wrong set at each, must fail against the literal image.
+        real = selftest.residue_set
+
+        def wrong(n, k, units_only):
+            rset = real(n, k, units_only)
+            if k >= arithmetic.valuation(n - 1, 2):
+                return rset._replace(members=rset.members[:-1])
+            return rset
+
+        report = selftest.sweep_stabilization(50, 4)
+        assert report.passed and report.cases == 47
+        monkeypatch.setattr(selftest, "residue_set", wrong)
+        report = selftest.sweep_stabilization(50, 4)
+        assert report.cases == 47 and not report.passed
+        assert report.failures[0] == "p=3 k=1"
+
     def test_unknown_suite_exits_1(self, capsys):
         code, out, err = run(capsys, "selftest", "--suites", "bogus")
         assert code == 1

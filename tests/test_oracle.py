@@ -127,6 +127,13 @@ class TestStats:
         assert delta.calls_by_k == {2: 1}
         assert delta.max_k_seen == 2
 
+    def test_value_semantics(self):
+        stats = OracleStats({1: 1, 2: 2})
+        assert stats == OracleStats({2: 2, 1: 1}) == OracleStats({1: 1, 2: 2, 3: 0})
+        assert hash(stats) == hash(OracleStats({1: 1, 2: 2, 3: 0}))
+        assert stats != OracleStats({1: 1}) and stats != {1: 1, 2: 2}
+        assert repr(stats) == "OracleStats({1: 1, 2: 2})"
+
     def test_json(self):
         stats = OracleStats({1: 1, 2: 2})
         assert json.loads(json.dumps(stats.to_json())) == {

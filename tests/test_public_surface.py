@@ -51,11 +51,10 @@ CALLS = {
     "jacobi": (residuo.jacobi, (ANY, ANY)),
     "lemma_l4_check": (residuo.lemma_l4_check, (MODULUS, ANY, ORACLE)),
     "multiplication_permutation": (
-        # The table's modulus is the set's m when `same`, else any n.
-        lambda a, m, n, same, k, units: residuo.multiplication_permutation(
-            a, m if same else n, residuo.residue_set(m, k, units)
+        lambda a, m, k, units: residuo.multiplication_permutation(
+            a, residuo.residue_set(m, k, units)
         ),
-        (ANY, SIZE, SIZE, FLAG, ANY, FLAG),
+        (ANY, SIZE, ANY, FLAG),
     ),
     "permutation_sign": (
         lambda domain, image: residuo.permutation_sign(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,20 @@ class TestTwoSquaresOracle:
         ]
         assert runs == [seeded] * 20
 
+    def test_past_the_sieve_ceiling(self):
+        # About 2,500 bits: the candidate bound passes 2^22, and the sieve
+        # is refused before it is allocated.
+        n = (1 << 2500) + 1
+        assert wedeniwski_bound(n) > 2**22
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                two_squares_oracle(n, FactorOracle())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             two_squares_oracle(65, FactorOracle(), mode="psychic")
@@ -169,7 +184,7 @@ class TestSemiprimeValuations:
     @pytest.mark.parametrize("trial_cap", [2**64, 10**30])
     def test_trial_cap_past_sys_maxsize(self, trial_cap):
         res = semiprime_valuations(39, FactorOracle(), trial_cap=trial_cap)
-        assert res[:5] == semiprime_valuations(39, FactorOracle())[:5]
+        assert res == semiprime_valuations(39, FactorOracle())
 
     def test_rejects_even(self):
         with pytest.raises(InvalidInput):

@@ -96,3 +96,14 @@ def test_value_type_contract(cls, args, kwargs, text, payload):
     assert getattr(by_position, first) == args[0]
     if payload is not None:
         assert by_position.to_json() == payload
+
+
+def test_valuation_result_with_stats_is_a_value():
+    from residuo.oracle import FactorOracle
+    from residuo.reductions import semiprime_valuations
+
+    first = semiprime_valuations(39, FactorOracle())
+    second = semiprime_valuations(39, FactorOracle())
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from residuo.arithmetic import is_prime
 from residuo.errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -11,7 +12,6 @@ from residuo.errors import (
     NotClosedUnderAction,
     NotCoprime,
     PreconditionViolated,
-    ResiduoError,
 )
 from residuo.symbols import residue_set, symbol_prime_definition
 from residuo.zolotarev import (
@@ -63,30 +63,25 @@ class TestPermutationSign:
 
 class TestMultiplicationPermutation:
     def test_examples(self):
-        table = multiplication_permutation(4, 15, residue_set(15, 1, True))
+        table = multiplication_permutation(4, residue_set(15, 1, True))
         assert table.domain == (1, 4) and table.image == (4, 1)
         full = residue_set(65, 1, False)
-        table = multiplication_permutation(4, 65, full)
+        table = multiplication_permutation(4, full)
         assert table.image[table.domain.index(0)] == 0
 
     def test_identity(self):
         rset = residue_set(13, 1, True)
-        table = multiplication_permutation(1, 13, rset)
+        table = multiplication_permutation(1, rset)
         assert table.domain == table.image
 
     def test_not_invariant(self):
         # 2 is not a square mod 15, so it maps squares outside the set.
         with pytest.raises(NotClosedUnderAction):
-            multiplication_permutation(2, 15, residue_set(15, 1, True))
+            multiplication_permutation(2, residue_set(15, 1, True))
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            multiplication_permutation(3, 15, residue_set(15, 1, True))
-
-    @pytest.mark.parametrize("n", [0, 13, -15])
-    def test_modulus_must_be_the_sets(self, n):
-        with pytest.raises(InvalidInput):
-            multiplication_permutation(1, n, residue_set(15, 1, True))
+            multiplication_permutation(3, residue_set(15, 1, True))
 
 
 class TestRestrictedSign:
@@ -101,7 +96,7 @@ class TestRestrictedSign:
                     rset = residue_set(n, k, units_only)
                     for a in units:
                         try:
-                            table = multiplication_permutation(a, n, rset)
+                            table = multiplication_permutation(a, rset)
                         except NotClosedUnderAction:
                             with pytest.raises(NotClosedUnderAction):
                                 restricted_sign(a, n, k, units_only)
@@ -132,9 +127,21 @@ class TestZolotarevPrime:
             zolotarev_prime(2, 13, 2)
 
     def test_non_unit_of_composite_modulus(self):
-        # Outside the prime contract, but still a ResiduoError.
-        with pytest.raises(ResiduoError):
-            zolotarev_prime(2, 4, 1)
+        # The modulus is refused before a is looked at, and 1 is no prime.
+        for a, p in ((2, 4), (0, 9), (1, 1)):
+            with pytest.raises(NotAdmissibleModulus):
+                zolotarev_prime(a, p, 1)
+
+    def test_composite_modulus_refused(self):
+        # (3|4)_2 = +1 and (2|9)_2 = +1, where a sign would read -1.
+        for n in range(4, 400):
+            if is_prime(n):
+                continue
+            for k in range(1, 4):
+                for a in range(1, n):
+                    if math.gcd(a, n) == 1:
+                        with pytest.raises(NotAdmissibleModulus):
+                            zolotarev_prime(a, n, k)
 
     def test_above_stabilization_is_plus_one(self):
         # For k > nu_2(p-1) an admissible a gives an even permutation.
@@ -217,6 +224,6 @@ class TestCounterexample:
 
         assert symbol_composite(m, factorize(n), 2) == -1
         units = residue_set(n, 1, True)
-        sign = permutation_sign(multiplication_permutation(m, n, units))
+        sign = permutation_sign(multiplication_permutation(m, units))
         assert sign == 1
         assert symbol_composite(m, factorize(n), 2) != sign
