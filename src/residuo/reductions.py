@@ -248,8 +248,8 @@ def recover_low_bits(N, v_small, v_large):
     """Low bits of the factors of odd N = pq from the two valuations:
     the factor with the larger valuation is 1 + 2^v_large mod 2^m for
     m = v_large + 1, and the other follows from N by inversion mod 2^m."""
-    if N % 2 == 0:
-        raise InvalidInput(f"N must be odd, got {N}")
+    if N < 3 or N % 2 == 0:
+        raise InvalidInput(f"N must be odd and >= 3, got {N}")
     if v_small > v_large or v_small < 1:
         raise InvalidInput(
             f"need 1 <= v_small <= v_large, got {v_small}, {v_large}"

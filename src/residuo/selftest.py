@@ -10,7 +10,7 @@ in ascending order).
 from itertools import compress
 from math import gcd
 
-from .arithmetic import factorize, is_prime, jacobi, primes_upto, valuation
+from .arithmetic import factorize, jacobi, primes_upto, valuation
 from .errors import InvalidInput
 from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
@@ -118,19 +118,17 @@ def sweep_t5(max_k, prime_bound=None, product_bound=None):
     """Semiprime Zolotarev vs the composite symbol, over odd prime pairs
     p < q with q <= prime_bound and/or pq <= product_bound."""
     report = SuiteReport("t5")
-    top = prime_bound if prime_bound is not None else (product_bound or 0) // 3
-    primes = [p for p in primes_upto(top) if p != 2]
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            n = p * q
-            if product_bound is not None and n > product_bound:
-                break
-            fact = factorize(n)
-            for m, k in _admissible_queries(n, max_k):
-                report.check(
-                    zolotarev_semiprime(m, p, q, k) == symbol_composite(m, fact, k),
-                    f"m={m} p={p} q={q} k={k}",
-                )
+    if product_bound is None:
+        product_bound = (prime_bound or 0) ** 2
+    for n, p, q in _odd_semiprimes(product_bound + 1):
+        if prime_bound is not None and q > prime_bound:
+            continue
+        fact = factorize(n)
+        for m, k in _admissible_queries(n, max_k):
+            report.check(
+                zolotarev_semiprime(m, p, q, k) == symbol_composite(m, fact, k),
+                f"m={m} p={p} q={q} k={k}",
+            )
     return report
 
 
@@ -186,13 +184,10 @@ def sweep_valuation_lemma(prime_bound):
 
 
 def _odd_semiprimes(n_bound):
-    primes = [p for p in primes_upto(n_bound // 3) if p != 2]
-    pairs = []
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            if p * q < n_bound:
-                pairs.append((p * q, p, q))
-    return sorted(pairs)
+    """(n, p, q) for each n = pq < n_bound, p < q odd primes, n ascending."""
+    return [
+        (n, *pq) for n in range(3, n_bound, 2) if (pq := factorize(n).odd_semiprime())
+    ]
 
 
 def sweep_valuation_algorithm(n_bound):
@@ -269,7 +264,8 @@ def sweep_oracle_agreement(n_bound, max_k):
     dfn = DefinitionOracle()
     zol = ZolotarevOracle()
     for n in range(2, n_bound + 1):
-        if not is_prime(n) and factorize(n).odd_semiprime() is None:
+        fact = factorize(n)
+        if fact.factors != ((n, 1),) and fact.odd_semiprime() is None:
             continue
         for m, k in _admissible_queries(n, max_k):
             a = fac.crs_query(m, n, k)

@@ -11,7 +11,7 @@ import math
 from itertools import compress
 from typing import NamedTuple
 
-from .arithmetic import is_prime, primes_upto, valuation
+from .arithmetic import factorize, is_prime, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -178,25 +178,15 @@ def find_tripleprime_counterexample(limit):
     by the CRT (m|p)_2 = (m|q)_2 = (m|r)_2 = +1, with (m|n)_4 = -1, yet both
     restricted permutation signs (unit subgroup and full square set) are +1.
 
-    Returns None when no such pair exists up to the limit.
+    Odd n are walked upward and the first hit ends the search; returns
+    None when no such pair exists up to the limit.
     """
-    primes = primes_upto(limit // 5)
-    p3 = [p for p in primes if p % 4 == 3]
-    p1 = [p for p in primes if p % 4 == 1]
-    moduli = sorted(
-        (p * q * r, p, q, r)
-        for p in p3
-        for i, q in enumerate(p1)
-        for r in p1[i + 1 :]
-        if p * q * r <= limit
-    )
-    for n, p, q, r in moduli:
+    for n in range(3, limit + 1, 2):
+        fact = factorize(n)
+        if sorted((r % 4, e) for r, e in fact.factors) != [(1, 1), (1, 1), (3, 1)]:
+            continue
         for m in compress(range(2, n), power_residues(n, 1, True)[2:]):
-            sym = (
-                symbol_prime_definition(m, p, 2)
-                * symbol_prime_definition(m, q, 2)
-                * symbol_prime_definition(m, r, 2)
-            )
+            sym = math.prod(symbol_prime_definition(m, r, 2) for r in fact.primes())
             if sym != -1:
                 continue
             if (

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
 from residuo import arithmetic, selftest
-from residuo.cli import main
+from residuo.cli import _ORACLES, main
 
 
 def run(capsys, *argv):
@@ -186,6 +187,37 @@ class TestQrp:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestOracleOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("semiprime-bits", "--n", "39"),
+            ("qrp", "--n", "39", "--a", "10"),
+            ("two-squares", "--n", "11021"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_oracle_gives_the_same_result(self, capsys, monkeypatch, argv):
+        evaluated = Counter()
+        for name, cls in _ORACLES.items():
+
+            def counted(self, m, n, k, name=name, evaluate=cls._evaluate):
+                evaluated[name] += 1
+                return evaluate(self, m, n, k)
+
+            monkeypatch.setattr(cls, "_evaluate", counted)
+        results = {}
+        for name in _ORACLES:
+            evaluated.clear()
+            record = run_json(capsys, *argv, "--oracle", name, "--record")
+            # The chosen oracle answered every query the record counts.
+            assert record["inputs"]["oracle"] == name
+            assert evaluated == {name: record["oracle_stats"]["calls_total"]}
+            assert evaluated[name] > 0
+            results[name] = record["result"]
+        assert results["definition"] == results["zolotarev"] == results["factor"]
 
 
 class TestSelftest:

@@ -2,7 +2,9 @@
 ResiduoError, whatever the integers: 0, negatives and values around 2^64
 included.  Only the sizes are kept small, so that no example runs long:
 sieve, enumeration and trial-count sizes stay at most 10^4, moduli handed
-to the reductions below 2^40, and numbers to factorize at most 2^64.
+to the reductions below 2^40, and numbers to factorize at most 2^64.  The
+three-prime counterexample search takes any limit, since it stops at its
+first hit.
 The examples are derandomized: every run draws the same ones, so the suite
 does not flake, and a failure replays as it was seen."""
 
@@ -45,7 +47,7 @@ CALLS = {
     "factorize": (residuo.factorize, (FACTORABLE,)),
     "find_tripleprime_counterexample": (
         residuo.find_tripleprime_counterexample,
-        (SIZE,),
+        (ANY,),
     ),
     "is_prime": (residuo.is_prime, (ANY,)),
     "jacobi": (residuo.jacobi, (ANY, ANY)),

@@ -230,6 +230,12 @@ class TestRecoverLowBits:
         with pytest.raises(InvalidInput):
             recover_low_bits(40, 1, 2)
 
+    @pytest.mark.parametrize("n, v_small, v_large", [(-3, 1, 1), (-7, 1, 2)])
+    def test_negative_n_refused(self, n, v_small, v_large):
+        # No odd N < 3 has two factors whose low bits could be recovered.
+        with pytest.raises(InvalidInput, match="odd and >= 3"):
+            recover_low_bits(n, v_small, v_large)
+
     def test_v_large_bounded_by_bit_length(self):
         # nu_2(q-1) < log2 N for every factor q of N, and 2^v_large would
         # otherwise size the answer.

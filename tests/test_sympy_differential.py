@@ -34,12 +34,24 @@ def test_factorize_semiprimes(a, b):
 
 def _deep_prime(rng, bits):
     # p = 1 + c*2^v with 6 <= v <= bits - 6, as the benchmark's deep
-    # semiprimes draw them.
-    v = rng.randrange(6, bits - 5)
+    # semiprimes draw them. At 26 bits no c makes 1 + c*2^20 prime, so v
+    # is drawn again after 64 values of c.
     while True:
-        p = 1 + ((rng.randrange(1 << (bits - 1 - v), 1 << (bits - v)) | 1) << v)
-        if sympy.isprime(p):
-            return p
+        v = rng.randrange(6, bits - 5)
+        for _ in range(64):
+            p = 1 + ((rng.randrange(1 << (bits - 1 - v), 1 << (bits - v)) | 1) << v)
+            if sympy.isprime(p):
+                return p
+
+
+def test_deep_prime_redraws_a_valuation_without_primes():
+    # The first v drawn by this seed at 26 bits is 20: no odd c in
+    # [32, 64) makes 1 + c*2^20 prime.
+    rng = random.Random(20)
+    assert rng.randrange(6, 21) == 20
+    p = _deep_prime(random.Random(20), 26)
+    assert sympy.isprime(p) and p.bit_length() == 26
+    assert arithmetic.valuation(p - 1, 2) >= 6
 
 
 def _smooth_prime(rng, bits, top):

@@ -217,6 +217,11 @@ class TestCounterexample:
     def test_not_found_at_100(self):
         assert find_tripleprime_counterexample(100) is None
 
+    def test_limit_past_any_sieve(self):
+        # The search walks odd n upward and stops at its first hit, so a
+        # limit far past the sieve ceiling answers as fast as 200 does.
+        assert find_tripleprime_counterexample(10**9) == (195, 79)
+
     def test_postcondition(self):
         n, m = find_tripleprime_counterexample(200)
         from residuo.arithmetic import factorize
