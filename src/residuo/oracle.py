@@ -5,7 +5,8 @@ Every route shares one contract, kept by `CrsOracle.crs_query`: k >= 1,
 n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
 factorized once per oracle and cached (the public `factorization(n)`,
 which the reductions also read to refuse a modulus outside their promise
-without spending a query), and a query whose level-(k-1)
+without spending a query; the last `FACTORIZATIONS_KEPT` computed ones are
+kept), and a query whose level-(k-1)
 symbol is -1 at some prime of n raises `PreconditionViolated` with
 `prime` set to that prime of n and `level` (<= k-1) to the lowest level
 at which m is not a 2^level-th power residue mod `prime`.
@@ -31,6 +32,8 @@ from .errors import (
 )
 from .symbols import require_admissible, symbol_composite, symbol_prime_definition
 from .zolotarev import zolotarev_prime, zolotarev_semiprime
+
+FACTORIZATIONS_KEPT = 4096
 
 
 class OracleStats:
@@ -82,17 +85,20 @@ class CrsOracle:
     """Validates queries, keeps stats and the factorization cache, and
     delegates evaluation to the route's `_evaluate(m, n, k)`.
 
-    `known` factorizations seed the cache; each is checked to be a prime
-    factorization.
+    `known` factorizations are checked to be prime factorizations and kept
+    for the oracle's life.  Computed ones are kept up to
+    `FACTORIZATIONS_KEPT`, the oldest dropped first, so a stream of fresh
+    moduli holds bounded memory while no known one is ever factorized.
     """
 
     def __init__(self, known=None):
         self.stats = OracleStats()
         self._lock = threading.Lock()
         self._cache = {}
+        self._known = {}
         for fact in known or ():
             _verify_factorization(fact)
-            self._cache[fact.value] = fact
+            self._known[fact.value] = fact
 
     def crs_query(self, m, n, k):
         if k < 1:
@@ -108,9 +114,13 @@ class CrsOracle:
     def factorization(self, n):
         """The cached prime factorization of n; computing it counts no
         query."""
-        fact = self._cache.get(n)
+        fact = self._cache.get(n) or self._known.get(n)
         if fact is None:
-            fact = self._cache[n] = factorize(n)
+            fact = factorize(n)
+            with self._lock:
+                if len(self._cache) >= FACTORIZATIONS_KEPT:
+                    del self._cache[next(iter(self._cache))]
+                self._cache[n] = fact
         return fact
 
     def _evaluate(self, m, n, k):

@@ -5,9 +5,11 @@ handful of CRS(k) queries against an injected oracle.
 The semiprime reductions hold only for N = pq with p, q distinct odd
 primes, and Theorem T4 also needs nu_2(p-1) != nu_2(q-1).  Each reduction
 refuses an N outside its promise with `InvalidInput` before its first
-query: the shape is read from `oracle.factorization(N)`, which counts no
-query, and decides only whether to refuse; every answer still comes from
-oracle queries.
+query.  What costs nothing is refused first, before N is factorized: N < 3,
+even N, and for QRP an a whose Jacobi symbol (a|N) is not +1.  The rest of
+the shape is read from `oracle.factorization(N)`, which counts no query,
+and decides only whether to refuse; every answer still comes from oracle
+queries.
 
 Also the supporting utilities: the (ERH-conditional) least-nonresidue bound,
 trial-division preprocessing, and the valuation relation between the factors
@@ -205,9 +207,10 @@ def semiprime_valuations(N, oracle, trial_cap=DEFAULT_TRIAL_CAP):
     locate v_large with a second witness b.
 
     Any N that is not a product of two distinct odd primes is refused with
-    `InvalidInput` before any query, read from `oracle.factorization(N)`.
+    `InvalidInput` before any query: N < 3 and even N at once, the rest as
+    read from `oracle.factorization(N)`.
     """
-    _odd_semiprime(N, oracle.factorization(N))
+    _odd_semiprime(N, oracle.factorization)
     start = oracle.stats.snapshot()
     v = valuation(N - 1, 2)
     for a in _coprime_draws(N, trial_cap, count(2)):
@@ -248,8 +251,7 @@ def recover_low_bits(N, v_small, v_large):
     """Low bits of the factors of odd N = pq from the two valuations:
     the factor with the larger valuation is 1 + 2^v_large mod 2^m for
     m = v_large + 1, and the other follows from N by inversion mod 2^m."""
-    if N < 3 or N % 2 == 0:
-        raise InvalidInput(f"N must be odd and >= 3, got {N}")
+    _require_odd(N)
     if v_small > v_large or v_small < 1:
         raise InvalidInput(
             f"need 1 <= v_small <= v_large, got {v_small}, {v_large}"
@@ -268,9 +270,10 @@ def recover_low_bits(N, v_small, v_large):
 
 def qrp_decide(N, a, oracle):
     """Squareness of a mod N (semiprime with distinct factor valuations)
-    by one CRS query at level nu_2(N-1) + 1.  Theorem T4's promise is
-    checked on `oracle.factorization(N)` before the query."""
-    p, q = _check_qrp_input(N, a, oracle.factorization(N))
+    by one CRS query at level nu_2(N-1) + 1.  N < 3, even N and a Jacobi
+    symbol (a|N) != +1 are refused before N is factorized; Theorem T4's
+    promise is then checked on `oracle.factorization(N)` before the query."""
+    p, q = _check_qrp_input(N, a, oracle.factorization)
     if valuation(p - 1, 2) == valuation(q - 1, 2):
         raise InvalidInput(
             f"Theorem T4 needs the factors of N = {N} to have distinct "
@@ -285,7 +288,7 @@ def qrp_decide_c2(N, a, oracle):
     """Squareness of a mod N for N = 3 mod 4 by one CRS query at level 2."""
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
-    _check_qrp_input(N, a, oracle.factorization(N))
+    _check_qrp_input(N, a, oracle.factorization)
     s = oracle.crs_query(a * a % N, N, 2)
     return QrpVerdict(s == 1, "corollary_c2")
 
@@ -298,7 +301,7 @@ def qrp_decide_permutation(N, a):
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
     if N > ENUMERATION_LIMIT:
         raise SearchSpaceTooLarge(f"n = {N} exceeds enumeration limit")
-    _check_qrp_input(N, a, factorize(N))
+    _check_qrp_input(N, a, factorize)
     return QrpVerdict(restricted_sign(a * a, N, 1, True) == 1, "corollary_c3")
 
 
@@ -307,20 +310,29 @@ def qrp_bruteforce(N, a):
     return QrpVerdict(power_residues(N, 1, True)[a % N] == 1, "bruteforce")
 
 
-def _odd_semiprime(N, fact):
-    # (p, q) from the factorization of N, or the refusal every semiprime
-    # reduction gives outside its promise.
-    pq = fact.odd_semiprime()
+def _require_odd(N):
+    if N < 3 or N % 2 == 0:
+        raise InvalidInput(f"N must be odd and >= 3, got {N}")
+
+
+def _odd_semiprime(N, factorization):
+    # (p, q) from `factorization(N)`, or the refusal every semiprime
+    # reduction gives outside its promise; an N that is even or below 3 is
+    # refused before anything is factorized.
+    _require_odd(N)
+    pq = factorization(N).odd_semiprime()
     if pq is None:
         raise InvalidInput(f"N must be an odd semiprime, got {N}")
     return pq
 
 
-def _check_qrp_input(N, a, fact):
-    pq = _odd_semiprime(N, fact)
+def _check_qrp_input(N, a, factorization):
+    # The Jacobi symbol costs next to nothing, so it is read before N is
+    # factorized.
+    _require_odd(N)
     if jacobi(a % N, N) != 1:
         raise InvalidInput(f"Jacobi symbol ({a}|{N}) must be +1")
-    return pq
+    return _odd_semiprime(N, factorization)
 
 
 def valuation_relation(b, p, q):

@@ -8,12 +8,15 @@ The residue sets behind the definition route are cached byte masks, built
 by the shape of n: a CRT product of the parts' masks at composite n, one
 walk of the subgroup of 2^k-th powers at an odd prime, shared by every level
 above nu_2(p-1) and by both kinds, and squaring level by level elsewhere (see
-`power_residues`).
+`power_residues`).  The cache is bounded by bytes, not by entries: once the
+masks built since it was last empty would pass `MASK_BUDGET` bytes, it is
+emptied whole before the new mask goes in.
 
 Symbols take values in {+1, -1}, represented as plain ints.
 """
 
 import math
+import threading
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_
@@ -28,6 +31,9 @@ from .errors import (
 )
 
 ENUMERATION_LIMIT = 10**6
+
+# Two limit-sized masks, the working set of one query at the limit.
+MASK_BUDGET = 2 * ENUMERATION_LIMIT
 
 
 class ResidueClassSet(NamedTuple):
@@ -48,13 +54,19 @@ class ResidueClassSet(NamedTuple):
         }
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=None)
 def power_residues(n, k, units_only):
     """Membership mask of the 2^k-th power residues mod n, over the units
     only or over all residues: `bytes` of length n, so `mask[a % n]` is 1
     exactly when a is in the set.  Enumerated once per (n, k, units_only)
     and cached; the input checks run only on a miss, since a raised error
     is never cached.
+
+    The cache holds at most `MASK_BUDGET` bytes of masks.  A miss counts
+    the bytes of each mask it builds (a key that shares another key's mask
+    adds nothing), and a mask that would take the count past the budget
+    empties the whole cache first, so a hit stays one C-level lookup.  A
+    cache found empty, by that or by an outside `cache_clear()`, counts 0.
 
     Three constructions, by the shape of n:
     - n with two or more prime-power parts q: by the CRT, a is in the set
@@ -86,32 +98,50 @@ def power_residues(n, k, units_only):
         if units_only:
             for p in factorize(n).primes():
                 mask[::p] = bytes(len(range(0, n, p)))
-        return bytes(mask)
+        return _admit(bytes(mask))
     factors = factorize(n).factors
     if len(factors) > 1:
         masks = (
             int.from_bytes(power_residues(q, k, units_only) * (n // q), "big")
             for q in (p**e for p, e in factors)
         )
-        return reduce(and_, masks).to_bytes(n, "big")
+        return _admit(reduce(and_, masks).to_bytes(n, "big"))
     if n > 2 and factors[0][1] == 1:
         v = valuation(n - 1, 2)
         if k > v:
             return power_residues(n, v, units_only)
         if not units_only:
-            return b"\x01" + power_residues(n, k, True)[1:]
+            return _admit(b"\x01" + power_residues(n, k, True)[1:])
         h = pow(_primitive_root(n), 1 << k, n)
         mask = bytearray(n)
         x = 1
         for _ in range((n - 1) >> k):
             mask[x] = 1
             x = x * h % n
-        return bytes(mask)
+        return _admit(bytes(mask))
     prev = power_residues(n, k - 1, units_only)
     mask = bytearray(n)
     for x in compress(range(n), prev):
         mask[x * x % n] = 1
-    return bytes(mask)
+    return _admit(bytes(mask))
+
+
+_held = 0  # bytes of the masks built since the cache was last empty
+_held_lock = threading.Lock()
+
+
+def _admit(mask):
+    # A miss passes each mask it builds here after the masks it reads, so
+    # the cache never keeps a mask built before it was last emptied.
+    global _held
+    with _held_lock:
+        if not power_residues.cache_info().currsize:
+            _held = 0
+        elif _held + len(mask) > MASK_BUDGET:
+            power_residues.cache_clear()
+            _held = 0
+        _held += len(mask)
+    return mask
 
 
 @lru_cache(maxsize=4096)

@@ -12,7 +12,9 @@ from residuo.errors import (
     PreconditionViolated,
     SearchSpaceTooLarge,
 )
+from residuo import oracle as oracle_module
 from residuo.oracle import (
+    FACTORIZATIONS_KEPT,
     DefinitionOracle,
     FactorOracle,
     OracleStats,
@@ -87,6 +89,46 @@ class TestFactorOracle:
     def test_bogus_known_factorization_rejected(self):
         with pytest.raises(InvalidInput):
             FactorOracle(known=[Factorization(((4, 1), (9, 1)))])
+
+
+def _counting_factorize(monkeypatch):
+    # Every n the oracle module factorizes, in order.
+    seen = []
+    real = oracle_module.factorize
+
+    def counting(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle_module, "factorize", counting)
+    return seen
+
+
+class TestFactorizationCache:
+    def test_computed_entries_capped_oldest_first(self, monkeypatch):
+        seen = _counting_factorize(monkeypatch)
+        oracle = FactorOracle()
+        moduli = range(2, FACTORIZATIONS_KEPT + 3)
+        for n in moduli:
+            oracle.factorization(n)
+        assert seen == list(moduli)
+        # One modulus past the cap pushed out the first one only.
+        oracle.factorization(3)
+        assert len(seen) == len(moduli)
+        oracle.factorization(2)
+        assert seen[-1] == 2 and len(seen) == len(moduli) + 1
+
+    def test_known_never_dropped(self, monkeypatch):
+        # An 1886-bit modulus the oracle could never factorize itself.
+        p, q = 2**1279 - 1, 2**607 - 1
+        fact = Factorization(((q, 1), (p, 1)))
+        oracle = FactorOracle(known=[fact])
+        seen = _counting_factorize(monkeypatch)
+        for n in range(2, 2 * FACTORIZATIONS_KEPT):
+            oracle.factorization(n)
+        assert oracle.factorization(p * q) is fact
+        assert p * q not in seen
+        assert oracle.crs_query(4, p * q, 1) == 1
 
 
 class TestZolotarevOracle:

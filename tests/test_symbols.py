@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from collections import deque
 from itertools import compress, repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuo.arithmetic import factorize, is_prime, jacobi, valuation
 from residuo.errors import (
@@ -14,7 +16,10 @@ from residuo.errors import (
     PreconditionViolated,
     SearchSpaceTooLarge,
 )
+from residuo.oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from residuo.symbols import (
+    ENUMERATION_LIMIT,
+    MASK_BUDGET,
     power_residues,
     require_admissible,
     residue_set,
@@ -381,3 +386,105 @@ class TestResidueMasksAtScale:
                     assert mask is power_residues(p, min(k, v), units), (p, k)
                 units_mask = power_residues(p, k, True)
                 assert power_residues(p, k, False) == b"\x01" + units_mask[1:]
+
+
+def _held_bytes():
+    # Bytes of the distinct masks the cache holds, read from the cache's own
+    # dict, the one keyed by argument tuples; a mask under two keys counts
+    # once.
+    cache = next(
+        d
+        for d in gc.get_referents(power_residues)
+        if isinstance(d, dict) and all(type(key) is tuple for key in d)
+    )
+    return sum(len(mask) for mask in {id(m): m for m in cache.values()}.values())
+
+
+class TestMaskBudget:
+    def test_fresh_moduli_stream_stays_within_budget(self):
+        # 200 moduli in [10^4, 10^5), as the fresh-moduli workload draws
+        # them: together they build far more than the budget, so the cache
+        # empties, yet never holds more than the budget after a call.
+        rng = random.Random(16)
+        power_residues.cache_clear()
+        emptied, size = False, 0
+        for i in range(200):
+            n = rng.randrange(10**4, 10**5)
+            for units in (True, False):
+                power_residues(n, 1 + i % 4, units)
+                assert _held_bytes() <= MASK_BUDGET, n
+                emptied |= power_residues.cache_info().currsize < size
+                size = power_residues.cache_info().currsize
+        assert emptied
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(1, 2 * 10**5),
+                    st.sampled_from([ENUMERATION_LIMIT, 999983, 999999]),
+                ),
+                st.integers(0, 8),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    def test_any_sequence_stays_within_budget(self, calls):
+        # The budget is two masks at the enumeration limit.
+        for n, k, units in calls:
+            power_residues(n, k, units)
+            assert _held_bytes() <= 2 * ENUMERATION_LIMIT, (n, k, units)
+
+    def test_desk_scale_sweep_never_empties(self):
+        # The desk-sweep workload's shape: in each band of 40 below 2000,
+        # two primes and two odd semiprimes, queried at k = 1..4 on all
+        # three oracles.  Every miss stays cached, so the misses equal the
+        # distinct keys.
+        moduli = []
+        for lo in range(40, 2000, 40):
+            band = range(lo + 1, lo + 40, 2)
+            moduli += [n for n in band if is_prime(n)][:2]
+            moduli += [n for n in band if factorize(n).odd_semiprime()][:2]
+        oracles = (FactorOracle(), DefinitionOracle(), ZolotarevOracle())
+        power_residues.cache_clear()
+        for n in moduli:
+            for k in range(1, 5):
+                for oracle in oracles:
+                    assert oracle.crs_query(1, n, k) == 1
+        info = power_residues.cache_info()
+        assert info.misses == info.currsize > 0
+        assert _held_bytes() < MASK_BUDGET // 2
+
+    def test_outside_clear_zeroes_the_count(self):
+        # Three quarters of the budget twice over, with an outside clear
+        # between: a count left at the first batch would empty the cache
+        # during the second.
+        batch = 15
+        width = MASK_BUDGET * 3 // 4 // batch
+        power_residues.cache_clear()
+        for i in range(batch):
+            power_residues(width + i, 0, False)
+        power_residues.cache_clear()
+        for i in range(batch):
+            power_residues(width + batch + i, 0, False)
+        info = power_residues.cache_info()
+        assert info.misses == info.currsize == batch
+
+    def test_mask_at_the_limit(self):
+        # 10^6 = 2^6 * 5^6: the units' squares mod n, against the image of
+        # x -> x^2 over every unit x.
+        n = ENUMERATION_LIMIT
+        power_residues.cache_clear()
+        mask = power_residues(n, 1, True)
+        xs = range(n)
+        units = compress(xs, map((1).__eq__, map(math.gcd, xs, repeat(n))))
+        squares = map(pow, units, repeat(2), repeat(n))
+        image = bytearray(n)
+        deque(map(image.__setitem__, squares, repeat(1)), maxlen=0)
+        assert mask == image
+        hits = power_residues.cache_info().hits
+        assert power_residues(n, 1, True) is mask
+        assert power_residues.cache_info().hits == hits + 1
+        assert len(mask) <= _held_bytes() <= MASK_BUDGET
