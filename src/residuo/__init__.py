@@ -42,6 +42,7 @@ from .symbols import (
     power_residues,
     residue_set,
     symbol_composite,
+    symbol_definition,
     symbol_prime_checked,
     symbol_prime_definition,
 )
@@ -54,6 +55,7 @@ from .zolotarev import (
     restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,
+    zolotarev_symbol,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,12 +11,12 @@ symbol is -1 at some prime of n raises `PreconditionViolated` with
 `prime` set to that prime of n and `level` (<= k-1) to the lowest level
 at which m is not a 2^level-th power residue mod `prime`.
 
-The routes differ only in how a well-posed query is evaluated: the factor
-oracle (the Euler criterion, `symbol_prime_checked`, at each prime of n;
-the reference), the
-definition oracle (exhaustive solvability search per prime; the
-independent cross-check), and the Zolotarev oracle (permutation signs for
-prime and semiprime moduli; the third route).
+The routes differ only in how a well-posed query is evaluated, each one
+function `route(m, fact, k)` of m mod n, n's factorization and k: the
+factor oracle's `symbol_composite` (the Euler criterion at each prime; the
+reference), the definition oracle's `symbol_definition` (exhaustive
+solvability search per prime; the cross-check), and the Zolotarev oracle's
+`zolotarev_symbol` (permutation signs at prime and semiprime n).
 """
 
 import math
@@ -24,14 +24,9 @@ import threading
 from collections import Counter
 
 from .arithmetic import Factorization, factorize, is_prime
-from .errors import (
-    InvalidInput,
-    NotAdmissibleModulus,
-    NotCoprime,
-    SearchSpaceTooLarge,
-)
-from .symbols import require_admissible, symbol_composite, symbol_prime_definition
-from .zolotarev import zolotarev_prime, zolotarev_semiprime
+from .errors import InvalidInput, NotCoprime, SearchSpaceTooLarge
+from .symbols import symbol_composite, symbol_definition
+from .zolotarev import zolotarev_symbol
 
 FACTORIZATIONS_KEPT = 4096
 
@@ -83,7 +78,7 @@ class OracleStats:
 
 class CrsOracle:
     """Validates queries, keeps stats and the factorization cache, and
-    delegates evaluation to the route's `_evaluate(m, n, k)`.
+    delegates evaluation to the subclass's `route(m % n, fact, k)`.
 
     `known` factorizations are checked to be prime factorizations and kept
     for the oracle's life.  Computed ones are kept up to
@@ -109,7 +104,7 @@ class CrsOracle:
             raise NotCoprime(f"gcd({m}, {n}) > 1")
         with self._lock:
             self.stats.record(k)
-        return self._evaluate(m % n, n, k)
+        return self.route(m % n, self.factorization(n), k)
 
     def factorization(self, n):
         """The cached prime factorization of n; computing it counts no
@@ -122,9 +117,6 @@ class CrsOracle:
                     del self._cache[next(iter(self._cache))]
                 self._cache[n] = fact
         return fact
-
-    def _evaluate(self, m, n, k):
-        raise NotImplementedError
 
 
 def _verify_factorization(fact: Factorization):
@@ -139,22 +131,14 @@ class FactorOracle(CrsOracle):
     """The composite symbol via the Euler criterion, preconditions checked
     per prime and level."""
 
-    def _evaluate(self, m, n, k):
-        return symbol_composite(m, self.factorization(n), k)
+    route = staticmethod(symbol_composite)
 
 
 class DefinitionOracle(CrsOracle):
     """Every prime-level symbol by exhaustive solvability search; exists
     purely as an independent cross-check of the Euler route."""
 
-    def _evaluate(self, m, n, k):
-        result = 1
-        for p, e in self.factorization(n).factors:
-            # Checked at even multiplicity too, as symbol_composite does.
-            require_admissible(m, p, k)
-            if e % 2 == 1:
-                result *= symbol_prime_definition(m, p, k)
-        return result
+    route = staticmethod(symbol_definition)
 
 
 class ZolotarevOracle(CrsOracle):
@@ -162,6 +146,7 @@ class ZolotarevOracle(CrsOracle):
     semiprime moduli up to the enumeration limit."""
 
     LIMIT = 10**5
+    route = staticmethod(zolotarev_symbol)
 
     def factorization(self, n):
         # The limit comes first, so no n beyond it is ever factorized, not
@@ -169,17 +154,6 @@ class ZolotarevOracle(CrsOracle):
         if n > self.LIMIT:
             raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
         return super().factorization(n)
-
-    def _evaluate(self, m, n, k):
-        fact = self.factorization(n)
-        if fact.factors == ((n, 1),):
-            return zolotarev_prime(m, n, k)
-        pq = fact.odd_semiprime()
-        if pq is None:
-            raise NotAdmissibleModulus(
-                f"n = {n} is neither prime nor a distinct-odd-prime semiprime"
-            )
-        return zolotarev_semiprime(m, *pq, k)
 
 
 # perfbench/worker.py and perfbench/spans.py build their oracles by these

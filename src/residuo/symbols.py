@@ -238,3 +238,18 @@ def symbol_composite(a, n_fact: Factorization, k):
             # still hold for the composite symbol to be well defined.
             symbol_prime_checked(a, p, k)
     return result
+
+
+def symbol_definition(a, n_fact: Factorization, k):
+    """(a|n)_{2^k} as the product over the prime factors of n with
+    multiplicity, each prime-level symbol by exhaustive solvability search;
+    the independent cross-check of `symbol_composite`."""
+    if math.gcd(a, n_fact.value) != 1:
+        raise NotCoprime(f"gcd({a}, {n_fact.value}) > 1")
+    result = 1
+    for p, e in n_fact.factors:
+        # Checked at even multiplicity too, as symbol_composite does.
+        require_admissible(a, p, k)
+        if e % 2 == 1:
+            result *= symbol_prime_definition(a, p, k)
+    return result

@@ -11,7 +11,7 @@ import math
 from itertools import compress
 from typing import NamedTuple
 
-from .arithmetic import factorize, is_prime, valuation
+from .arithmetic import Factorization, factorize, is_prime, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -118,22 +118,36 @@ def restricted_sign(a, n, k, units_only):
     return _restricted_sign(a, n, members, bytearray(members))
 
 
+def zolotarev_symbol(a, n_fact: Factorization, k):
+    """(a|n)_{2^k} for a unit a, k >= 1 and n prime or a distinct-odd-prime
+    semiprime, from its trusted factorization: the zolotarev_prime sign, or
+    at n = pq the zolotarev_semiprime one, after the level-(k-1)
+    precondition is checked at each prime; no primality test runs here."""
+    n = n_fact.value
+    if n_fact.factors != ((n, 1),) and n_fact.odd_semiprime() is None:
+        raise NotAdmissibleModulus(
+            f"n = {n} is neither prime nor a distinct-odd-prime semiprime"
+        )
+    if math.gcd(a, n) != 1:
+        raise NotCoprime(f"gcd({a}, {n}) > 1")
+    for p in n_fact.primes():
+        require_admissible(a, p, k)
+    # n = pq = 1 mod 2^k exactly when nu_2(n - 1) >= k.
+    units_only = len(n_fact.factors) == 1 or valuation(n - 1, 2) < k
+    return restricted_sign(a, n, k - 1, units_only)
+
+
 def zolotarev_prime(a, p, k):
     """(a|p)_{2^k} as the sign of multiplication-by-a restricted to the
-    level-(k-1) unit residue set mod p.
-
-    A p that is not prime is refused with NotAdmissibleModulus: p is prime
-    exactly when its level-0 unit mask holds phi(p) = p - 1 members."""
+    level-(k-1) unit residue set mod p; a p that is not prime is refused
+    with NotAdmissibleModulus."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
-    if power_residues(p, 0, True).count(1) != p - 1:
+    if not is_prime(p):
         raise NotAdmissibleModulus(f"p = {p} is not prime")
-    if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
-    require_admissible(a, p, k)
-    return restricted_sign(a, p, k - 1, True)
+    return zolotarev_symbol(a, Factorization(((p, 1),)), k)
 
 
 def zolotarev_semiprime(m, p, q, k):
@@ -146,13 +160,7 @@ def zolotarev_semiprime(m, p, q, k):
         raise NotAdmissibleModulus(
             f"need distinct odd primes, got p = {p}, q = {q}"
         )
-    n = p * q
-    if math.gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) > 1")
-    for r in (p, q):
-        require_admissible(m, r, k)
-    # N = 1 mod 2^k exactly when nu_2(N - 1) >= k.
-    return restricted_sign(m, n, k - 1, valuation(n - 1, 2) < k)
+    return zolotarev_symbol(m, Factorization(((min(p, q), 1), (max(p, q), 1))), k)
 
 
 def product_permutation_sign(signs, sizes):

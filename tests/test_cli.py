@@ -203,11 +203,11 @@ class TestOracleOption:
         evaluated = Counter()
         for name, cls in _ORACLES.items():
 
-            def counted(self, m, n, k, name=name, evaluate=cls._evaluate):
+            def counted(m, fact, k, name=name, route=cls.route):
                 evaluated[name] += 1
-                return evaluate(self, m, n, k)
+                return route(m, fact, k)
 
-            monkeypatch.setattr(cls, "_evaluate", counted)
+            monkeypatch.setattr(cls, "route", staticmethod(counted))
         results = {}
         for name in _ORACLES:
             evaluated.clear()

@@ -50,3 +50,18 @@ def test_cold_cli_import_skips_what_commands_do_not_run():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_each_oracle_is_one_route():
+    # An oracle class names its route(m, fact, k); evaluation is not
+    # overridden anywhere else.
+    classes = residuo.CrsOracle.__subclasses__()
+    assert {cls.__name__ for cls in classes} == {
+        "FactorOracle",
+        "DefinitionOracle",
+        "ZolotarevOracle",
+    }
+    for cls in (residuo.CrsOracle, *classes):
+        assert "_evaluate" not in vars(cls)
+    for cls in classes:
+        assert isinstance(vars(cls).get("route"), staticmethod), cls.__name__

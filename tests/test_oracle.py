@@ -4,12 +4,16 @@ import threading
 
 import pytest
 
-from residuo.arithmetic import Factorization, jacobi
+import residuo.arithmetic
+import residuo.symbols
+import residuo.zolotarev
+from residuo.arithmetic import Factorization, factorize, is_prime, jacobi
 from residuo.errors import (
     InvalidInput,
     NotAdmissibleModulus,
     NotCoprime,
     PreconditionViolated,
+    ResiduoError,
     SearchSpaceTooLarge,
 )
 from residuo import oracle as oracle_module
@@ -20,7 +24,12 @@ from residuo.oracle import (
     OracleStats,
     ZolotarevOracle,
 )
-from residuo.symbols import symbol_prime_definition
+from residuo.symbols import (
+    symbol_composite,
+    symbol_definition,
+    symbol_prime_definition,
+)
+from residuo.zolotarev import zolotarev_symbol
 
 ALL_FACTORIES = (FactorOracle, DefinitionOracle, ZolotarevOracle)
 # The ids keep the names these parametrized tests have always run under.
@@ -139,6 +148,110 @@ class TestZolotarevOracle:
     def test_too_large(self):
         with pytest.raises(SearchSpaceTooLarge):
             ZolotarevOracle().crs_query(2, 10**5 + 3, 1)
+
+
+class TestZolotarevPath:
+    # Below the oracle, n's factorization is already known: the route
+    # neither tests primality again nor enumerates a level it does not use.
+
+    def test_no_primality_test_below_the_oracle(self, monkeypatch):
+        oracle = ZolotarevOracle()
+        for n in (1009, 39):
+            oracle.crs_query(1, n, 1)
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) below the oracle")
+
+        monkeypatch.setattr(residuo.zolotarev, "is_prime", refuse)
+        monkeypatch.setattr(residuo.arithmetic, "is_prime", refuse)
+        assert oracle.crs_query(4, 1009, 2) == symbol_prime_definition(4, 1009, 2)
+        assert oracle.crs_query(4, 39, 2) == -1
+        assert oracle.crs_query(10, 39, 1) == 1
+
+    def test_admissible_queries_skip_level_0(self, monkeypatch):
+        real = residuo.symbols.power_residues
+        keys = []
+
+        def recording(n, k, units_only):
+            keys.append((n, k, units_only))
+            return real(n, k, units_only)
+
+        # _admit reads the cache through the module name.
+        recording.cache_info = real.cache_info
+        recording.cache_clear = real.cache_clear
+        for module in (residuo.symbols, residuo.zolotarev):
+            monkeypatch.setattr(module, "power_residues", recording)
+        oracle = ZolotarevOracle()
+        p = 1009
+        for k in (3, 4):
+            for x in (2, 3, 5):
+                a = pow(x, 1 << (k - 1), p)
+                assert oracle.crs_query(a, p, k) == symbol_prime_definition(a, p, k)
+        assert keys
+        assert all(level >= 1 for n, level, _ in keys if n == p)
+
+
+def _outcome(route, *args):
+    # The answer, or the error's type with its prime and level.
+    try:
+        return route(*args)
+    except ResiduoError as exc:
+        return type(exc), getattr(exc, "prime", None), getattr(exc, "level", None)
+
+
+def _zolotarev_shape(n):
+    return is_prime(n) or factorize(n).odd_semiprime() is not None
+
+
+class TestOneContract:
+    # Every unit m of every n below 150 at k <= 4, admissible or not: the
+    # three routes give the same answer, or fail with the same error type,
+    # prime and level.  The Zolotarev route takes only primes and
+    # distinct-odd-prime semiprimes and refuses every other n by shape.
+    CASES = [
+        (m, n, k)
+        for n in range(2, 150)
+        for k in range(1, 5)
+        for m in range(1, n)
+        if math.gcd(m, n) == 1
+    ]
+
+    def check(self, factor, definition, zolotarev):
+        seen = set()
+        for m, n, k in self.CASES:
+            expected = factor(m, n, k)
+            seen.add(expected if expected in (1, -1) else expected[0])
+            assert definition(m, n, k) == expected, (m, n, k)
+            got = zolotarev(m, n, k)
+            if _zolotarev_shape(n):
+                assert got == expected, (m, n, k)
+            else:
+                assert got == (NotAdmissibleModulus, None, None), (m, n, k)
+        assert seen == {1, -1, PreconditionViolated}
+
+    def test_oracles_agree(self):
+        oracles = [cls() for cls in ALL_FACTORIES]
+        self.check(
+            *(
+                lambda m, n, k, oracle=oracle: _outcome(oracle.crs_query, m, n, k)
+                for oracle in oracles
+            )
+        )
+
+    def test_routes_agree(self):
+        self.check(
+            *(
+                lambda m, n, k, route=route: _outcome(route, m, factorize(n), k)
+                for route in (symbol_composite, symbol_definition, zolotarev_symbol)
+            )
+        )
+
+
+def test_every_route_refuses_a_non_unit_first():
+    # 26 is a quadratic nonresidue mod 3 and a multiple of 13.
+    for route in (symbol_composite, symbol_definition, zolotarev_symbol):
+        with pytest.raises(NotCoprime):
+            route(26, factorize(39), 2)
 
 
 class TestStats:

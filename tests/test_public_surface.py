@@ -78,6 +78,10 @@ CALLS = {
         lambda a, n, k: residuo.symbol_composite(a, residuo.factorize(n), k),
         (ANY, FACTORABLE, ANY),
     ),
+    "symbol_definition": (
+        lambda a, n, k: residuo.symbol_definition(a, residuo.factorize(n), k),
+        (ANY, FACTORABLE, ANY),
+    ),
     "symbol_prime_checked": (residuo.symbol_prime_checked, (ANY, ANY, ANY)),
     "symbol_prime_definition": (residuo.symbol_prime_definition, (ANY, SIZE, ANY)),
     "trial_division": (residuo.trial_division, (ANY, SIZE)),
@@ -104,6 +108,10 @@ CALLS = {
     "zolotarev_semiprime": (
         residuo.zolotarev_semiprime,
         (ANY, st.integers(max_value=100), st.integers(max_value=100), ANY),
+    ),
+    "zolotarev_symbol": (
+        lambda a, n, k: residuo.zolotarev_symbol(a, residuo.factorize(n), k),
+        (ANY, FACTORABLE, ANY),
     ),
     "crs_query": (
         lambda oracle, m, n, k: oracle.crs_query(m, n, k),
