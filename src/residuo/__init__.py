@@ -51,7 +51,6 @@ from .zolotarev import (
     find_tripleprime_counterexample,
     multiplication_permutation,
     permutation_sign,
-    product_permutation_sign,
     restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,

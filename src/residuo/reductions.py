@@ -9,7 +9,7 @@ query.  What costs nothing is refused first, before N is factorized: N < 3,
 even N, and for QRP an a whose Jacobi symbol (a|N) is not +1.  The rest of
 the shape is read from `oracle.factorization(N)`, which counts no query,
 and decides only whether to refuse; every answer still comes from oracle
-queries.
+queries except C3's, read off the Zolotarev route without an oracle.
 
 Also the supporting utilities: the (ERH-conditional) least-nonresidue bound,
 trial-division preprocessing, and the valuation relation between the factors
@@ -22,6 +22,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .arithmetic import (
+    Factorization,
     factorize,
     jacobi,
     primes_upto,
@@ -30,7 +31,7 @@ from .arithmetic import (
 )
 from .errors import InvalidInput, SearchExhausted, SearchSpaceTooLarge
 from .symbols import ENUMERATION_LIMIT, power_residues
-from .zolotarev import restricted_sign
+from .zolotarev import zolotarev_symbol
 
 CANDIDATE_FLOOR = 50
 DEFAULT_TRIAL_CAP = 128
@@ -294,15 +295,16 @@ def qrp_decide_c2(N, a, oracle):
 
 
 def qrp_decide_permutation(N, a):
-    """Squareness of a mod N (N = 3 mod 4) as the sign of multiplication by
-    a^2 on the unit square subgroup mod N; no oracle involved, so N is
-    factorized here to check its shape."""
+    """Squareness of a mod N (N = 3 mod 4) as (a^2|N)_4 by `zolotarev_symbol`,
+    the sign of a^2 on the unit square subgroup mod N; no oracle involved,
+    so N is factorized here to check its shape."""
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
     if N > ENUMERATION_LIMIT:
         raise SearchSpaceTooLarge(f"n = {N} exceeds enumeration limit")
-    _check_qrp_input(N, a, factorize)
-    return QrpVerdict(restricted_sign(a * a, N, 1, True) == 1, "corollary_c3")
+    p, q = _check_qrp_input(N, a, factorize)
+    s = zolotarev_symbol(a * a, Factorization(((p, 1), (q, 1))), 2)
+    return QrpVerdict(s == 1, "corollary_c3")
 
 
 def qrp_bruteforce(N, a):

@@ -135,10 +135,10 @@ def _admit(mask):
     # the cache never keeps a mask built before it was last emptied.
     global _held
     with _held_lock:
-        if not power_residues.cache_info().currsize:
+        if not _power_image.cache_info().currsize:
             _held = 0
         elif _held + len(mask) > MASK_BUDGET:
-            power_residues.cache_clear()
+            _power_image.cache_clear()
             _held = 0
         _held += len(mask)
     return mask
@@ -153,7 +153,8 @@ def _primitive_root(p):
     )
 
 
-# perfbench/spans.py reads the cache statistics under this name.
+# The cache object itself: `_admit` reads it here, so a wrapper bound over
+# `power_residues` keeps the budget working; perfbench/spans.py reads it too.
 _power_image = power_residues
 
 
@@ -178,7 +179,9 @@ def symbol_prime_definition(a, p, k):
 def require_admissible(a, p, k):
     """Raise PreconditionViolated unless (a|p)_{2^(k-1)} = +1, decided by
     enumeration; the error names the lowest level at which a is not a
-    2^level-th power residue mod p."""
+    2^level-th power residue mod p.  A k < 1 is refused before any mask."""
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
     if symbol_prime_definition(a, p, k - 1) != 1:
         # Level 0 is -1 only for a non-unit a of a composite p.
         level = next(j for j in range(k) if symbol_prime_definition(a, p, j) != 1)
@@ -229,6 +232,8 @@ def symbol_composite(a, n_fact: Factorization, k):
     n = n_fact.value
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
     result = 1
     for p, e in n_fact.factors:
         if e % 2 == 1:

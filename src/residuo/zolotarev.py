@@ -23,7 +23,7 @@ from .symbols import (
     ResidueClassSet,
     power_residues,
     require_admissible,
-    symbol_prime_definition,
+    symbol_definition,
 )
 
 
@@ -119,10 +119,10 @@ def restricted_sign(a, n, k, units_only):
 
 
 def zolotarev_symbol(a, n_fact: Factorization, k):
-    """(a|n)_{2^k} for a unit a, k >= 1 and n prime or a distinct-odd-prime
+    """(a|n)_{2^k} for a unit a and n prime or a distinct-odd-prime
     semiprime, from its trusted factorization: the zolotarev_prime sign, or
-    at n = pq the zolotarev_semiprime one, after the level-(k-1)
-    precondition is checked at each prime; no primality test runs here."""
+    at n = pq the zolotarev_semiprime one, after `require_admissible` (which
+    refuses k < 1) at each prime; no primality test runs here."""
     n = n_fact.value
     if n_fact.factors != ((n, 1),) and n_fact.odd_semiprime() is None:
         raise NotAdmissibleModulus(
@@ -141,8 +141,6 @@ def zolotarev_prime(a, p, k):
     """(a|p)_{2^k} as the sign of multiplication-by-a restricted to the
     level-(k-1) unit residue set mod p; a p that is not prime is refused
     with NotAdmissibleModulus."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
     if not is_prime(p):
@@ -154,8 +152,6 @@ def zolotarev_semiprime(m, p, q, k):
     """(m|pq)_{2^k} as a restricted permutation sign: over the full
     level-(k-1) residue set when N = 1 mod 2^k, over the unit subgroup
     otherwise."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
     if p == q or p == 2 or q == 2 or not is_prime(p) or not is_prime(q):
         raise NotAdmissibleModulus(
             f"need distinct odd primes, got p = {p}, q = {q}"
@@ -163,28 +159,12 @@ def zolotarev_semiprime(m, p, q, k):
     return zolotarev_symbol(m, Factorization(((min(p, q), 1), (max(p, q), 1))), k)
 
 
-def product_permutation_sign(signs, sizes):
-    """Sign of a componentwise permutation of a cartesian product from the
-    component signs: the product of signs[i]^(|X|/sizes[i])."""
-    if len(signs) != len(sizes) or not signs:
-        raise InvalidInput("signs and sizes must have equal positive length")
-    if any(s not in (1, -1) for s in signs):
-        raise InvalidInput("signs must be +1 or -1")
-    if any(sz < 1 for sz in sizes):
-        raise InvalidInput("sizes must be positive")
-    total = math.prod(sizes)
-    result = 1
-    for s, sz in zip(signs, sizes):
-        if s == -1 and (total // sz) % 2 == 1:
-            result = -result
-    return result
-
-
 def find_tripleprime_counterexample(limit):
     """Smallest (n, m) in lexicographic order with n = pqr <= limit,
     p = 3 mod 4, q, r = 1 mod 4 distinct primes, m a unit square mod n,
-    by the CRT (m|p)_2 = (m|q)_2 = (m|r)_2 = +1, with (m|n)_4 = -1, yet both
-    restricted permutation signs (unit subgroup and full square set) are +1.
+    by the CRT (m|p)_2 = (m|q)_2 = (m|r)_2 = +1, with (m|n)_4 = -1 by the
+    definition route, yet both restricted permutation signs (unit subgroup
+    and full square set) are +1.
 
     Odd n are walked upward and the first hit ends the search; returns
     None when no such pair exists up to the limit.
@@ -194,8 +174,7 @@ def find_tripleprime_counterexample(limit):
         if sorted((r % 4, e) for r, e in fact.factors) != [(1, 1), (1, 1), (3, 1)]:
             continue
         for m in compress(range(2, n), power_residues(n, 1, True)[2:]):
-            sym = math.prod(symbol_prime_definition(m, r, 2) for r in fact.primes())
-            if sym != -1:
+            if symbol_definition(m, fact, 2) != -1:
                 continue
             if (
                 restricted_sign(m, n, 1, True) == 1

@@ -176,9 +176,6 @@ class TestZolotarevPath:
             keys.append((n, k, units_only))
             return real(n, k, units_only)
 
-        # _admit reads the cache through the module name.
-        recording.cache_info = real.cache_info
-        recording.cache_clear = real.cache_clear
         for module in (residuo.symbols, residuo.zolotarev):
             monkeypatch.setattr(module, "power_residues", recording)
         oracle = ZolotarevOracle()
@@ -197,6 +194,13 @@ def _outcome(route, *args):
         return route(*args)
     except ResiduoError as exc:
         return type(exc), getattr(exc, "prime", None), getattr(exc, "level", None)
+
+
+def _refusal(route, *args):
+    # The error's type and message.
+    with pytest.raises(ResiduoError) as info:
+        route(*args)
+    return type(info.value), str(info.value)
 
 
 def _zolotarev_shape(n):
@@ -245,6 +249,31 @@ class TestOneContract:
                 for route in (symbol_composite, symbol_definition, zolotarev_symbol)
             )
         )
+
+    def test_levels_below_1_refused(self, monkeypatch):
+        # At k in {-1, 0} every route names the caller's k before it reads
+        # a mask; the Zolotarev route refuses other shapes first, and the
+        # oracles refuse before they count a query.
+        def no_mask(n, k, units_only):
+            raise AssertionError(f"mask ({n}, {k}, {units_only}) read")
+
+        for module in (residuo.symbols, residuo.zolotarev):
+            monkeypatch.setattr(module, "power_residues", no_mask)
+        oracles = [cls() for cls in ALL_FACTORIES]
+        for m, n in sorted({(m, n) for m, n, _ in self.CASES}):
+            fact = factorize(n)
+            for k in (-1, 0):
+                bad_k = (InvalidInput, f"k must be >= 1, got {k}")
+                assert _refusal(symbol_composite, m, fact, k) == bad_k, (m, n, k)
+                assert _refusal(symbol_definition, m, fact, k) == bad_k, (m, n, k)
+                got = _refusal(zolotarev_symbol, m, fact, k)
+                if _zolotarev_shape(n):
+                    assert got == bad_k, (m, n, k)
+                else:
+                    assert got[0] is NotAdmissibleModulus, (m, n, k)
+                for oracle in oracles:
+                    assert _refusal(oracle.crs_query, m, n, k) == bad_k, (m, n, k)
+        assert all(oracle.stats.calls_total == 0 for oracle in oracles)
 
 
 def test_every_route_refuses_a_non_unit_first():

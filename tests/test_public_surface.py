@@ -66,7 +66,6 @@ CALLS = {
     ),
     "power_residues": (residuo.power_residues, (SIZE, ANY, FLAG)),
     "primes_upto": (residuo.primes_upto, (SIZE,)),
-    "product_permutation_sign": (residuo.product_permutation_sign, (INTS, INTS)),
     "qrp_decide": (residuo.qrp_decide, (MODULUS, ANY, ORACLE)),
     "qrp_decide_c2": (residuo.qrp_decide_c2, (MODULUS, ANY, ORACLE)),
     "qrp_decide_permutation": (residuo.qrp_decide_permutation, (SIZE, ANY)),

@@ -314,7 +314,7 @@ def _odd_semiprime_by_search(n):
 
 class TestQrpPromise:
     def test_refuses_exactly_outside_promise(self):
-        oracle = FactorOracle()
+        oracle, zolotarev = FactorOracle(), ZolotarevOracle()
         for n in range(3, 600, 2):
             pq = _odd_semiprime_by_search(n)
             t4_ok = pq is not None and valuation(pq[0] - 1, 2) != valuation(
@@ -323,6 +323,8 @@ class TestQrpPromise:
             routes = [(lambda a: qrp_decide(n, a, oracle), t4_ok)]
             if n % 4 == 3:
                 routes.append((lambda a: qrp_decide_c2(n, a, oracle), pq is not None))
+                # C3 is the Zolotarev route at level 2, so it meets C2 there.
+                routes.append((lambda a: qrp_decide_c2(n, a, zolotarev), pq is not None))
                 routes.append((lambda a: qrp_decide_permutation(n, a), pq is not None))
             for a in range(1, n):
                 if jacobi(a, n) != 1:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -9,9 +10,11 @@ from itertools import compress, repeat
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import residuo.symbols
 from residuo.arithmetic import factorize, is_prime, jacobi, valuation
 from residuo.errors import (
     InvalidInput,
+    NotAdmissibleModulus,
     NotCoprime,
     PreconditionViolated,
     SearchSpaceTooLarge,
@@ -90,29 +93,37 @@ def test_nonpositive_prime_rejected(symbol, p):
         symbol(3, p, 1)
 
 
+# The wrappers' level-0 message is the route's own, naming the caller's k.
+LEVEL_0 = "^k must be >= 1, got 0$"
+
+
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: symbol_prime_checked(26, 13, 2), NotCoprime),
-        (lambda: zolotarev_prime(26, 13, 2), NotCoprime),
-        (lambda: zolotarev_prime(3, 13, 0), InvalidInput),
-        (lambda: zolotarev_semiprime(4, 3, 5, 0), InvalidInput),
-        (lambda: symbol_prime_checked(3, 13, -1), InvalidInput),
-        (lambda: symbol_prime_checked(2, 15, 1), InvalidInput),
-        (lambda: symbol_prime_checked(-7, 9, 1), InvalidInput),
+        (lambda: symbol_prime_checked(26, 13, 2), NotCoprime, None),
+        (lambda: zolotarev_prime(26, 13, 2), NotCoprime, None),
+        (lambda: zolotarev_prime(3, 13, 0), InvalidInput, LEVEL_0),
+        (lambda: zolotarev_semiprime(4, 3, 5, 0), InvalidInput, LEVEL_0),
+        (lambda: zolotarev_prime(26, 13, 0), NotCoprime, None),
+        (lambda: zolotarev_semiprime(2, 9, 5, 0), NotAdmissibleModulus, None),
+        (lambda: symbol_prime_checked(3, 13, -1), InvalidInput, None),
+        (lambda: symbol_prime_checked(2, 15, 1), InvalidInput, None),
+        (lambda: symbol_prime_checked(-7, 9, 1), InvalidInput, None),
     ],
     ids=[
         "checked-not-coprime",
         "zolotarev-not-coprime",
         "zolotarev-level-0",
         "semiprime-level-0",
+        "zolotarev-not-coprime-before-level",
+        "semiprime-modulus-before-level",
         "checked-negative-level",
         "checked-composite-15",
         "checked-composite-9",
     ],
 )
-def test_prime_level_argument_checks(call, error):
-    with pytest.raises(error) as info:
+def test_prime_level_argument_checks(call, error, message):
+    with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
 
@@ -471,6 +482,30 @@ class TestMaskBudget:
             power_residues(width + batch + i, 0, False)
         info = power_residues.cache_info()
         assert info.misses == info.currsize == batch
+
+    def test_wrapper_bound_over_the_name(self, monkeypatch):
+        # A functools.wraps wrapper over residuo.symbols.power_residues, as
+        # a tracer of misses binds one: misses, residue_set and an emptying
+        # of the budget still reach the cache itself.
+        real, keys = power_residues, []
+
+        @functools.wraps(real)
+        def recording(n, k, units_only):
+            keys.append((n, k, units_only))
+            return real(n, k, units_only)
+
+        monkeypatch.setattr(residuo.symbols, "power_residues", recording)
+        real.cache_clear()
+        assert recording(10007, 1, True)[4] == 1
+        assert residue_set(15, 1, True).members == (1, 4)
+        # Three limit-sized masks pass the budget of two, so the cache
+        # empties on the way.
+        size = real.cache_info().currsize
+        for n in range(ENUMERATION_LIMIT - 2, ENUMERATION_LIMIT + 1):
+            recording(n, 0, False)
+        assert real.cache_info().currsize < size + 3
+        assert _held_bytes() <= MASK_BUDGET
+        assert {(10007, 1, True), (15, 1, True)} <= set(keys)
 
     def test_mask_at_the_limit(self):
         # 10^6 = 2^6 * 5^6: the units' squares mod n, against the image of

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -6,7 +5,6 @@ import pytest
 
 from residuo.arithmetic import is_prime
 from residuo.errors import (
-    InvalidInput,
     NotAdmissibleModulus,
     NotAPermutation,
     NotClosedUnderAction,
@@ -19,7 +17,6 @@ from residuo.zolotarev import (
     find_tripleprime_counterexample,
     multiplication_permutation,
     permutation_sign,
-    product_permutation_sign,
     restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,
@@ -176,38 +173,6 @@ class TestZolotarevSemiprime:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             zolotarev_semiprime(2, 3, 13, 2)
-
-
-class TestProductPermutationSign:
-    def test_examples(self):
-        assert product_permutation_sign([-1, 1], [2, 4]) == 1
-        assert product_permutation_sign([-1, -1], [3, 5]) == 1
-        assert product_permutation_sign([-1], [17]) == -1
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            product_permutation_sign([1, -1], [2])
-
-    def test_against_explicit_product(self):
-        # Componentwise permutation of a cartesian product vs the formula.
-        rng = random.Random(13)
-        for _ in range(30):
-            sizes = [rng.randrange(1, 7), rng.randrange(1, 7)]
-            perms = []
-            for size in sizes:
-                perm = list(range(size))
-                rng.shuffle(perm)
-                perms.append(perm)
-            signs = [
-                permutation_sign(
-                    PermutationTable(tuple(range(len(p))), tuple(p))
-                )
-                for p in perms
-            ]
-            domain = sorted(itertools.product(range(sizes[0]), range(sizes[1])))
-            image = [(perms[0][x], perms[1][y]) for x, y in domain]
-            explicit = permutation_sign(PermutationTable(tuple(domain), tuple(image)))
-            assert product_permutation_sign(signs, sizes) == explicit
 
 
 class TestCounterexample:
