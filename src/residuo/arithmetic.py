@@ -7,9 +7,10 @@ The primes below 2^16 come from one sieve, built on first use and then kept.
 the primes it needs at once, with one gcd against their product: the
 primorial of the primes below 2^j, for the least j that covers min(bound,
 sqrt(n)), each of the 17 built at most once. `factorize` splits what trial
-division leaves with Pollard's p - 1, stage 1 only, before Brent's rho; the
-stage's exponent comes from the same sieve in 11 blocks, each built at most
-once.
+division leaves with Pollard's p - 1, both stages, before Brent's rho. Stage
+1's exponent comes from the same sieve in 11 blocks, each built at most once;
+stage 2 reads its primes, those in (2^12, 2^16), from the same sieve as one
+table of baby-step/giant-step pairs, built at most once.
 """
 
 import functools
@@ -30,6 +31,22 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# (bound, t): below bound the first t bases suffice. Each bound is the least
+# odd composite that is a strong pseudoprime to the first t prime bases
+# (OEIS A014233), for the least t whose bound it is.
+_MR_BASE_COUNTS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_DETERMINISTIC_LIMIT, 13),
+)
+
 # Extra probabilistic rounds above the threshold: error < 4^-64 = 2^-128.
 _MR_EXTRA_ROUNDS = 64
 
@@ -40,6 +57,10 @@ _RHO_ITERATION_CAP = 10**7
 # 2^64: the reductions study primes p = 1 + c*2^v with a large v, and
 # nu_2(p - 1) < 64 for every p < 2^65.
 _PM1_BITS = 12
+
+# Stage 2 of the p - 1 split takes each prime q in (2^_PM1_BITS, _SIEVE_LIMIT)
+# as kD - j or kD + j, with 0 < j < D/2 coprime to D = _PM1_STEP.
+_PM1_STEP = 210
 
 # Primes below this bound come from the one cached sieve; above it,
 # `primes_upto` sieves afresh and `trial_division` steps odd d.
@@ -127,8 +148,10 @@ def _miller_rabin_witness(a, n, d, r):
 def is_prime(n):
     """Primality test: deterministic below 3.3e24, error < 2^-128 above.
 
-    The probabilistic rounds above the threshold draw bases from a generator
-    seeded with n, so the answer is still deterministic for a fixed n.
+    Below the threshold n meets only as many of the 13 prime bases as its
+    size needs: 4 below 3.2e9, 5 below 2.2e12. The probabilistic rounds
+    above it draw bases from a generator seeded with n, so the answer is
+    still deterministic for a fixed n.
     """
     if n < 2:
         return False
@@ -139,7 +162,11 @@ def is_prime(n):
             return False
     r = valuation(n - 1, 2)
     d = (n - 1) >> r
-    for a in _MR_BASES:
+    # From the deterministic limit on, the loop ends with all 13 bases.
+    for bound, t in _MR_BASE_COUNTS:
+        if n < bound:
+            break
+    for a in _MR_BASES[:t]:
         if _miller_rabin_witness(a, n, d, r):
             return False
     if n >= _MR_DETERMINISTIC_LIMIT:
@@ -192,6 +219,28 @@ def _pm1_block(bits):
             q *= r
         powers.append(1 << 64 if r == 2 else q)
     return math.prod(powers), tuple(powers)
+
+
+@functools.cache
+def _pm1_stage2_table():
+    """The giant steps k0..k1 of the p - 1 split's stage 2, the baby steps j
+    in (0, D/2) coprime to D, and for each j a byte mask over the k that is
+    1 where kD - j or kD + j is a prime in (2^_PM1_BITS, _SIEVE_LIMIT). It
+    is sliced from the cached sieve, one stride per j: 24 masks of 293
+    bytes for D = 210."""
+    step, half = _PM1_STEP, _PM1_STEP // 2
+    lo = (1 << _PM1_BITS) + 1
+    k0, k1 = (lo + half) // step, (_SIEVE_LIMIT + half) // step
+    # The primes of stage 2 alone, padded so every kD + j is an index.
+    primes = bytes(lo) + _small_prime_mask()[lo:] + bytes(step)
+    js = [j for j in range(1, half) if math.gcd(j, step) == 1]
+    masks = []
+    for j in js:
+        below = primes[k0 * step - j : k1 * step - j + 1 : step]
+        above = primes[k0 * step + j : k1 * step + j + 1 : step]
+        either = int.from_bytes(below, "big") | int.from_bytes(above, "big")
+        masks.append(either.to_bytes(k1 - k0 + 1, "big"))
+    return k0, k1, tuple(js), tuple(masks)
 
 
 def primes_upto(bound):
@@ -255,12 +304,13 @@ def trial_division(n, bound):
 
 
 def _pm1_split(n):
-    """Pollard's p - 1, stage 1 with base 2: a nontrivial factor of odd
-    composite n, or None. It finds one when the order of 2 mod some prime
-    of n divides the stage-1 exponent and mod some other prime does not,
-    or divides it from an earlier prime power on. Each block costs one pow
+    """Pollard's p - 1 with base 2: a nontrivial factor of odd composite n,
+    or None. Stage 1 finds one when the order of 2 mod some prime of n
+    divides the stage-1 exponent and mod some other prime does not, or
+    divides it from an earlier prime power on. Each block costs one pow
     and one gcd; a block that reaches order 1 at every prime at once is
-    redone one prime power at a time."""
+    redone one prime power at a time. A stage 1 that ends with gcd 1 hands
+    its power of 2 to stage 2 (`_pm1_stage2`)."""
     a = 2
     for bits in range(2, _PM1_BITS + 1):
         product, powers = _pm1_block(bits)
@@ -276,7 +326,37 @@ def _pm1_split(n):
                 if g != 1:
                     break
         return g if g != n else None
-    return None
+    return _pm1_stage2(a, n)
+
+
+def _pm1_stage2(b, n):
+    """Stage 2 of the p - 1 split: a nontrivial factor of odd n, or None,
+    given b = 2^E mod n after a stage 1 whose gcd was 1. With
+    V_i = b^i + b^-i, V_kD - V_j = b^-kD (b^(kD-j) - 1)(b^(kD+j) - 1), so
+    at a prime r of n it is 0 when the order of b mod r divides kD - j or
+    kD + j (Montgomery's pairing). One product over the table's pairs and
+    one gcd thus test every stage-2 prime as that order: 4,670 pairs, one
+    multiplication each, for the 5,978 primes. A gcd of 1 or n gives
+    None."""
+    k0, k1, js, masks = _pm1_stage2_table()
+    # V_{i+1} = V_1 V_i - V_{i-1} from V_0 = 2: the baby steps up to
+    # V_{D/2}, then V_D = V_{D/2}^2 - 2 and the giant steps V_kD.
+    v1 = (b + pow(b, -1, n)) % n
+    baby = [2, v1]
+    while len(baby) <= _PM1_STEP // 2:
+        baby.append((v1 * baby[-1] - baby[-2]) % n)
+    vd = (baby[-1] * baby[-1] - 2) % n
+    giant = [2, vd]
+    while len(giant) <= k1:
+        giant.append((vd * giant[-1] - giant[-2]) % n)
+    del giant[:k0]
+    acc = 1
+    for j, mask in zip(js, masks):
+        vj = baby[j]
+        for x in compress(giant, mask):
+            acc = acc * (x - vj) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
 
 
 def _rho_split(n, budget):
@@ -320,9 +400,12 @@ def factorize(n):
     """Complete prime factorization of n >= 1.
 
     Trial division strips the primes up to 10^4; every n below 10^8 ends
-    there. Each composite cofactor left is split by the p - 1 stage
-    (`_pm1_split`) and, when that finds nothing, by Brent's rho, which
-    raises FactorizationTimeout once its iterations for this n pass 10^7.
+    there. Each composite cofactor left is split by Pollard's p - 1
+    (`_pm1_split`: stage 1 to 2^12, stage 2 over the primes up to 2^16) and,
+    when that finds nothing, by Brent's rho. Rho raises FactorizationTimeout
+    once the iterations it charges for this n pass 10^7. It charges only the
+    iterations that multiply into its gcd product, not the advance loop
+    between them, so it has done about twice that many steps by then.
     Deterministic for a fixed n; intended for desk-scale inputs.
     """
     if n < 1:

@@ -38,7 +38,7 @@ class PreconditionViolated(ResiduoError):
 
 
 class FactorizationTimeout(ResiduoError):
-    """Factorization gave up on a cofactor: the p - 1 stage found no split,
+    """Factorization gave up on a cofactor: both p - 1 stages found no split,
     and Brent's rho then passed its iteration cap (10^7 for one n) or tried
     every constant without a split."""
 

@@ -68,6 +68,22 @@ class TestJacobi:
                     assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
 
 
+# OEIS A014233: psi_t, the least odd composite that is a strong pseudoprime
+# to the first t prime bases, each with the least t that has it.
+PSI = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+]
+
+
 class TestIsPrime:
     def test_examples(self):
         assert is_prime(13)
@@ -89,10 +105,38 @@ class TestIsPrime:
         assert is_prime(2**89 - 1)
         assert not is_prime((2**89 - 1) * (2**61 - 1))
 
+    @pytest.mark.parametrize("psi, t", PSI)
+    def test_refuses_strong_pseudoprimes(self, psi, t):
+        # psi passes the first t bases, so the base count chosen at psi
+        # itself must reach past them.
+        n = psi - 1
+        r = valuation(n, 2)
+        assert not any(
+            arithmetic._miller_rabin_witness(a, psi, n >> r, r)
+            for a in arithmetic._MR_BASES[:t]
+        )
+        assert not is_prime(psi)
+
+    def test_matches_sympy_below_2e5(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(2 * 10**5):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @given(st.integers(0, 2**80))
+    def test_matches_sympy_to_2_80(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_prime(sympy.nextprime(n))
+
 
 # Two 32-bit safe primes, (p - 1)/2 prime, and a prime with a smooth p - 1.
 SAFE_P, SAFE_Q = 4294965887, 4294967087
 DEEP_P = 3 * 2**30 + 1
+# Two 31-bit primes whose p - 1 has one prime above 2^12, in stage 2's
+# range below 2^16.
+STAGE2_P = 2 * 47 * 349 * 65521 + 1
+STAGE2_R = 4 * 5 * 11 * 149 * 65519 + 1
+STAGE2_PRIMES = {q for q in primes_upto(2**16) if q > 2**12}
 
 
 class TestFactorize:
@@ -100,6 +144,10 @@ class TestFactorize:
         for p in (SAFE_P, SAFE_Q):
             assert is_prime(p) and is_prime((p - 1) // 2)
         assert is_prime(DEEP_P)
+        for p, q in ((STAGE2_P, 65521), (STAGE2_R, 65519)):
+            assert is_prime(p) and is_prime(q)
+            # q divides the order of 2 mod p, so stage 1 cannot reach it.
+            assert pow(2, (p - 1) // q, p) != 1
 
     def test_examples(self):
         assert factorize(65).factors == ((5, 1), (13, 1))
@@ -124,7 +172,7 @@ class TestFactorize:
 
     def test_rho_timeout(self, monkeypatch):
         # Both factors are safe primes, so the order of 2 has a prime factor
-        # near 2^31 at each and the p - 1 stage leaves the split to rho.
+        # near 2^31 at each and both p - 1 stages leave the split to rho.
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
         with pytest.raises(FactorizationTimeout):
             factorize(SAFE_P * SAFE_Q)
@@ -134,6 +182,44 @@ class TestFactorize:
         # is left to spend.
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
         assert factorize(DEEP_P * SAFE_Q).factors == ((DEEP_P, 1), (SAFE_Q, 1))
+
+    def test_pm1_stage2_runs_before_rho(self, monkeypatch):
+        # The order of 2 mod STAGE2_P has its one prime above 2^12 in stage
+        # 2's range, and mod SAFE_Q a prime near 2^31: stage 2 splits n.
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
+        n = STAGE2_P * SAFE_Q
+        assert factorize(n).factors == ((STAGE2_P, 1), (SAFE_Q, 1))
+
+    def test_pm1_stage2_whole_n_falls_to_rho(self):
+        # Stage 2 reaches order 1 at both primes, so its gcd is n.
+        n = STAGE2_P * STAGE2_R
+        assert arithmetic._pm1_split(n) is None
+        assert factorize(n).factors == ((STAGE2_R, 1), (STAGE2_P, 1))
+
+    def test_pm1_stage2_table(self):
+        # Each prime q in (2^12, 2^16) is kD - j or kD + j for one marked
+        # pair (k, j), and each marked pair names at least one such prime.
+        k0, k1, js, masks = arithmetic._pm1_stage2_table()
+        step = arithmetic._PM1_STEP
+        covered = set()
+        for j, mask in zip(js, masks):
+            assert len(mask) == k1 - k0 + 1
+            for k in range(k0, k1 + 1):
+                pair = {k * step - j, k * step + j} & STAGE2_PRIMES
+                assert bool(mask[k - k0]) == bool(pair)
+                covered |= pair
+        assert covered == STAGE2_PRIMES
+
+    def test_pm1_stage2_table_is_small(self):
+        arithmetic._small_prime_mask()
+        arithmetic._pm1_stage2_table.cache_clear()
+        tracemalloc.start()
+        try:
+            arithmetic._pm1_stage2_table()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**14 and peak < 2**18
 
 
 def _odd_d_trial_division(n, bound):

@@ -56,7 +56,7 @@ def test_deep_prime_redraws_a_valuation_without_primes():
 
 def _smooth_prime(rng, bits, top):
     # p - 1 = 2 * top * (primes below 2^11): every prime of p - 1 lies
-    # below the p - 1 stage's bound 4096, the largest at top in [2^11, 2^12).
+    # below stage 1's bound 4096, the largest at top in [2^11, 2^12).
     small = primes_upto(2047)
     while True:
         m = 2 * top
@@ -98,6 +98,36 @@ def test_factorize_both_smooth(bits, seed):
         assert factorize(p * q).factors == _sympy_factors(p * q)
 
 
+def _stage2_prime(rng, bits):
+    # p - 1 = 2 * top * (primes below 2^11) with top a prime in (2^12, 2^16),
+    # the range of the p - 1 split's stage 2; each further prime has at
+    # most as many bits as p - 1 still lacks.
+    small = primes_upto(2047)
+    tops = [r for r in primes_upto(2**16) if r > 2**12]
+    while True:
+        m = 2 * rng.choice(tops)
+        while m.bit_length() < bits - 1:
+            room = bits - m.bit_length()
+            m *= rng.choice([r for r in small if r.bit_length() <= room])
+        if sympy.isprime(m + 1):
+            return m + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(40, 64), st.integers(0, 2**32), st.booleans())
+def test_factorize_stage2_semiprimes(bits, seed, smaller):
+    # The stage-2 prime is the smaller or the larger factor; q is any
+    # prime of the other size.
+    rng = random.Random(seed)
+    small, large = bits // 2, bits - bits // 2
+    if not smaller:
+        small, large = large, small
+    p = _stage2_prime(rng, small)
+    q = sympy.nextprime(rng.randrange(1 << (large - 1), 1 << large))
+    n = p * q
+    assert factorize(n).factors == _sympy_factors(n)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(40, 64), st.integers(0, 2**32))
 def test_factorize_neither_smooth(bits, seed):
@@ -124,7 +154,7 @@ def test_factorize_three_primes(xs):
 def test_factorize_examples():
     assert factorize(2**64 + 1).factors == _sympy_factors(2**64 + 1)
     # 2 has order 61 and 89 at these Mersenne primes, in two blocks of
-    # the p - 1 stage.
+    # stage 1 of the p - 1 split.
     assert factorize((2**61 - 1) * (2**89 - 1)).factors == (
         (2**61 - 1, 1),
         (2**89 - 1, 1),
