@@ -4,6 +4,8 @@ low bits, quadratic residuosity)."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .arithmetic import (
     Factorization,
     factorize,
@@ -57,4 +59,10 @@ from .zolotarev import (
     zolotarev_symbol,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The API names only: the submodules the imports above bind are left out, so
+# `from residuo import *` rebinds no caller's `oracle` or `symbols`.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -25,7 +25,7 @@ from collections import Counter
 
 from .arithmetic import Factorization, factorize, is_prime
 from .errors import InvalidInput, NotCoprime, SearchSpaceTooLarge
-from .symbols import symbol_composite, symbol_definition
+from .symbols import ENUMERATION_LIMIT, symbol_composite, symbol_definition
 from .zolotarev import zolotarev_symbol
 
 FACTORIZATIONS_KEPT = 4096
@@ -143,15 +143,15 @@ class DefinitionOracle(CrsOracle):
 
 class ZolotarevOracle(CrsOracle):
     """Restricted permutation signs; supports prime and distinct-odd-prime
-    semiprime moduli up to the enumeration limit."""
+    semiprime moduli up to `ENUMERATION_LIMIT`, the bound on every mask
+    the route reads."""
 
-    LIMIT = 10**5
     route = staticmethod(zolotarev_symbol)
 
     def factorization(self, n):
         # The limit comes first, so no n beyond it is ever factorized, not
         # even by a reduction's promise check.
-        if n > self.LIMIT:
+        if n > ENUMERATION_LIMIT:
             raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
         return super().factorization(n)
 

@@ -9,7 +9,7 @@ query.  What costs nothing is refused first, before N is factorized: N < 3,
 even N, and for QRP an a whose Jacobi symbol (a|N) is not +1.  The rest of
 the shape is read from `oracle.factorization(N)`, which counts no query,
 and decides only whether to refuse; every answer still comes from oracle
-queries except C3's, read off the Zolotarev route without an oracle.
+queries, C3's from a Zolotarev oracle it builds itself.
 
 Also the supporting utilities: the (ERH-conditional) least-nonresidue bound,
 trial-division preprocessing, and the valuation relation between the factors
@@ -21,17 +21,10 @@ import random
 from itertools import count
 from typing import NamedTuple
 
-from .arithmetic import (
-    Factorization,
-    factorize,
-    jacobi,
-    primes_upto,
-    trial_division,
-    valuation,
-)
-from .errors import InvalidInput, SearchExhausted, SearchSpaceTooLarge
-from .symbols import ENUMERATION_LIMIT, power_residues
-from .zolotarev import zolotarev_symbol
+from .arithmetic import jacobi, primes_upto, trial_division, valuation
+from .errors import InvalidInput, SearchExhausted
+from .oracle import ZolotarevOracle
+from .symbols import power_residues
 
 CANDIDATE_FLOOR = 50
 DEFAULT_TRIAL_CAP = 128
@@ -295,16 +288,10 @@ def qrp_decide_c2(N, a, oracle):
 
 
 def qrp_decide_permutation(N, a):
-    """Squareness of a mod N (N = 3 mod 4) as (a^2|N)_4 by `zolotarev_symbol`,
-    the sign of a^2 on the unit square subgroup mod N; no oracle involved,
-    so N is factorized here to check its shape."""
-    if N % 4 != 3:
-        raise InvalidInput(f"N must be 3 mod 4, got {N}")
-    if N > ENUMERATION_LIMIT:
-        raise SearchSpaceTooLarge(f"n = {N} exceeds enumeration limit")
-    p, q = _check_qrp_input(N, a, factorize)
-    s = zolotarev_symbol(a * a, Factorization(((p, 1), (q, 1))), 2)
-    return QrpVerdict(s == 1, "corollary_c3")
+    """Squareness of a mod N (N = 3 mod 4) as Corollary C2 asked of a fresh
+    `ZolotarevOracle`: (a^2|N)_4, the sign of a^2 on the unit squares mod N,
+    with C2's refusals and the oracle's enumeration limit."""
+    return QrpVerdict(qrp_decide_c2(N, a, ZolotarevOracle()).is_residue, "corollary_c3")
 
 
 def qrp_bruteforce(N, a):

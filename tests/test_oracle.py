@@ -145,9 +145,27 @@ class TestZolotarevOracle:
         with pytest.raises(NotAdmissibleModulus):
             ZolotarevOracle().crs_query(2, 9, 1)
 
-    def test_too_large(self):
+    def test_too_large(self, monkeypatch):
+        # 10^6 + 3 is prime, the first past the enumeration limit, and is
+        # refused before anything is factorized.
+        def refuse(n):
+            raise AssertionError(f"factorized {n}")
+
+        monkeypatch.setattr(oracle_module, "factorize", refuse)
         with pytest.raises(SearchSpaceTooLarge):
-            ZolotarevOracle().crs_query(2, 10**5 + 3, 1)
+            ZolotarevOracle().crs_query(2, 10**6 + 3, 1)
+
+    @pytest.mark.parametrize("n", [100_003, 786_433, 503_491])
+    def test_answers_up_to_the_enumeration_limit(self, n):
+        # Two primes, 786,433 = 3 * 2^18 + 1 with many levels, and the
+        # semiprime 499 * 1009, all past 10^5: admissible and inadmissible
+        # queries get the factor route's answer or refusal.
+        zolotarev, factor = ZolotarevOracle(), FactorOracle()
+        for k in (1, 2, 3):
+            for x in (2, 3, 5):
+                for m in (x, pow(x, 1 << (k - 1), n)):
+                    expected = _outcome(factor.crs_query, m, n, k)
+                    assert _outcome(zolotarev.crs_query, m, n, k) == expected, (m, k)
 
 
 class TestZolotarevPath:

@@ -8,6 +8,8 @@ first hit.
 The examples are derandomized: every run draws the same ones, so the suite
 does not flake, and a failure replays as it was seen."""
 
+from types import ModuleType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +135,17 @@ def test_every_public_function_is_covered():
         and not isinstance(getattr(residuo, name), type)
     }
     assert functions | {"crs_query", "factorization"} == set(CALLS)
+
+
+def test_star_import_binds_no_module():
+    # `from residuo import *` must not rebind a caller's `oracle` or
+    # `symbols` with a submodule.
+    modules = [
+        name
+        for name in residuo.__all__
+        if isinstance(getattr(residuo, name), ModuleType)
+    ]
+    assert modules == []
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

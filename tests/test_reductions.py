@@ -283,6 +283,13 @@ class TestQrp:
         with pytest.raises(SearchSpaceTooLarge):
             qrp_decide_permutation(3 * MERSENNE_61_89, 1)
 
+    def test_permutation_jacobi_before_limit(self):
+        # 1,000,007 = 29 * 34,483 is past the enumeration limit, but C3 is
+        # C2 on a Zolotarev oracle: the free Jacobi symbol (5|N) = -1 is
+        # refused before the limit is read.
+        with pytest.raises(InvalidInput, match="Jacobi"):
+            qrp_decide_permutation(1_000_007, 5)
+
     def test_c2_requires_3_mod_4(self):
         with pytest.raises(InvalidInput):
             qrp_decide_c2(65, 2, FactorOracle())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from residuo.arithmetic import is_prime
+from residuo.arithmetic import factorize, is_prime, valuation
 from residuo.errors import (
     NotAdmissibleModulus,
     NotAPermutation,
@@ -11,6 +11,7 @@ from residuo.errors import (
     NotCoprime,
     PreconditionViolated,
 )
+from residuo.oracle import ZolotarevOracle
 from residuo.symbols import residue_set, symbol_prime_definition
 from residuo.zolotarev import (
     PermutationTable,
@@ -111,6 +112,71 @@ class TestRestrictedSign:
     def test_not_invariant(self):
         with pytest.raises(NotClosedUnderAction):
             restricted_sign(2, 15, 1, True)
+
+
+def _structural_sign(a, n, k, units_only):
+    """The sign of x -> a*x mod a squarefree n on its 2^k-th power residues,
+    read off the group structure with no enumeration; None when the unit a
+    does not preserve that set.
+
+    Mod an odd prime p the level-k units form the cyclic subgroup of order
+    m = (p-1)/2^min(k, nu_2(p-1)).  Every orbit of x -> a*x on it has length
+    ord(a), so a preserves it exactly when a^m = 1, and the sign is -1
+    exactly when m is even and a^(m/2) != 1.  p = 2 contributes {1}.  The
+    all-residues kind adds 0, a fixed point, to each part.  By the CRT the
+    set mod n is the product X of the parts X_p, acted on componentwise,
+    so each part's sign counts |X|/|X_p| times."""
+    parts = []
+    for p, _ in factorize(n).factors:
+        m, sign = 1, 1
+        if p > 2:
+            m = (p - 1) >> min(k, valuation(p - 1, 2))
+            if pow(a, m, p) != 1:
+                return None
+            if m % 2 == 0 and pow(a, m // 2, p) != 1:
+                sign = -1
+        parts.append((m if units_only else m + 1, sign))
+    size = math.prod(m for m, _ in parts)
+    return math.prod(sign ** (size // m) for m, sign in parts)
+
+
+class TestStructuralSign:
+    # An independent reading of the sign the mask walk computes, for the
+    # squarefree n that Section 3's theorem and the oracle route reach.
+
+    def test_matches_restricted_sign(self):
+        seen = set()
+        for n in range(1, 300):
+            if any(e > 1 for _, e in factorize(n).factors):
+                continue
+            units = [a for a in range(n) if math.gcd(a, n) == 1]
+            for k in range(4):
+                for units_only in (True, False):
+                    for a in units:
+                        expected = _structural_sign(a, n, k, units_only)
+                        seen.add(expected)
+                        if expected is None:
+                            with pytest.raises(NotClosedUnderAction):
+                                restricted_sign(a, n, k, units_only)
+                        else:
+                            got = restricted_sign(a, n, k, units_only)
+                            assert got == expected, (a, n, k, units_only)
+        assert seen == {1, -1, None}
+
+    @pytest.mark.parametrize("n", [100_003, 786_433, 503_491])
+    def test_zolotarev_oracle_past_1e5(self, n):
+        # The oracle's (m|n)_{2^k} is the sign at level k-1, over the units
+        # at a prime or when n != 1 mod 2^k, over all residues otherwise.
+        oracle = ZolotarevOracle()
+        signs = set()
+        for k in (1, 2, 3):
+            units_only = is_prime(n) or valuation(n - 1, 2) < k
+            for x in (2, 3, 5):
+                m = pow(x, 1 << (k - 1), n)
+                expected = _structural_sign(m, n, k - 1, units_only)
+                assert oracle.crs_query(m, n, k) == expected, (m, k)
+                signs.add(expected)
+        assert signs == {1, -1}
 
 
 class TestZolotarevPrime:
