@@ -380,7 +380,8 @@ def _rho_split(n, budget):
                 budget[0] -= m
                 if budget[0] <= 0:
                     raise FactorizationTimeout(
-                        f"rho iteration cap exceeded while splitting {n}"
+                        f"rho iteration cap of {_RHO_ITERATION_CAP:,} exceeded"
+                        f" while splitting a {n.bit_length()}-bit cofactor"
                     )
                 g = math.gcd(q, n)
                 k += m
@@ -393,7 +394,7 @@ def _rho_split(n, budget):
                 g = math.gcd(x - ys, n)
         if g != n:
             return g
-    raise FactorizationTimeout(f"rho failed to split {n}")
+    raise FactorizationTimeout(f"rho failed to split a {n.bit_length()}-bit cofactor")
 
 
 def factorize(n):

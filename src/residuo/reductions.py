@@ -162,7 +162,9 @@ def two_squares_oracle(
     if mode == "deterministic":
         test_values = candidates
     else:
-        test_values = _coprime_draws(rest, trials, _seeded_draws(seed, 1, rest))
+        rng = random.Random(seed)
+        draws = iter(lambda: rng.randrange(1, rest), None)
+        test_values = _coprime_draws(rest, trials, draws)
     for a in test_values:
         if not lemma_l4_check(rest, a, oracle):
             return TwoSquaresVerdict(False, method)
@@ -174,12 +176,6 @@ def _coprime_draws(N, size, draws):
     # takes any int: none below 1, and sizes past sys.maxsize.
     coprime = (a for a in draws if math.gcd(a, N) == 1)
     return (a for _, a in zip(range(size), coprime))
-
-
-def _seeded_draws(seed, lo, hi):
-    # Endless randrange(lo, hi) draws from a generator seeded with `seed`.
-    rng = random.Random(seed)
-    return iter(lambda: rng.randrange(lo, hi), None)
 
 
 def _first_level(x, N, levels, oracle):

@@ -263,10 +263,11 @@ def sweep_oracle_agreement(n_bound, max_k):
     fac = FactorOracle()
     dfn = DefinitionOracle()
     zol = ZolotarevOracle()
-    for n in range(2, n_bound + 1):
-        fact = factorize(n)
-        if fact.factors != ((n, 1),) and fact.odd_semiprime() is None:
-            continue
+    # The primes first: a bound past the sieve's ceiling is refused before
+    # any modulus is factorized.
+    primes = primes_upto(n_bound)
+    semiprimes = [n for n, _, _ in _odd_semiprimes(n_bound + 1)]
+    for n in sorted(primes + semiprimes):
         for m, k in _admissible_queries(n, max_k):
             a = fac.crs_query(m, n, k)
             b = dfn.crs_query(m, n, k)

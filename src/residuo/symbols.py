@@ -236,12 +236,11 @@ def symbol_composite(a, n_fact: Factorization, k):
         raise InvalidInput(f"k must be >= 1, got {k}")
     result = 1
     for p, e in n_fact.factors:
+        # Checked at even multiplicity too: the precondition must hold there
+        # for the composite symbol to be well defined.
+        sign = symbol_prime_checked(a, p, k)
         if e % 2 == 1:
-            result *= symbol_prime_checked(a, p, k)
-        else:
-            # Even multiplicity contributes +1, but the precondition must
-            # still hold for the composite symbol to be well defined.
-            symbol_prime_checked(a, p, k)
+            result *= sign
     return result
 
 

@@ -80,25 +80,6 @@ def multiplication_permutation(a, rset: ResidueClassSet):
     return PermutationTable(members, tuple(image))
 
 
-def _restricted_sign(a, n, members, left):
-    # Sign of x -> a*x mod n on the set with mask `members`, for a unit a
-    # already known to map that set onto itself: each cycle is walked by
-    # clearing its points in `left`, a working copy of the mask, and the
-    # next cycle starts at the first point still set.
-    find = left.find
-    cycles = 0
-    start = find(1)
-    while start >= 0:
-        cycles += 1
-        left[start] = 0
-        x = a * start % n
-        while x != start:
-            left[x] = 0
-            x = a * x % n
-        start = find(1, start + 1)
-    return -1 if (members.count(1) - cycles) & 1 else 1
-
-
 def restricted_sign(a, n, k, units_only):
     """Sign of x -> a*x mod n on the 2^k-th power residues mod n (over the
     units only or over all residues); raises NotCoprime when a is not a
@@ -115,7 +96,21 @@ def restricted_sign(a, n, k, units_only):
         raise NotClosedUnderAction(
             f"multiplication by {a} leaves the set mod {n}"
         )
-    return _restricted_sign(a, n, members, bytearray(members))
+    # Each cycle is walked by clearing its points in `left`, a working copy
+    # of the mask, and the next cycle starts at the first point still set.
+    left = bytearray(members)
+    find = left.find
+    cycles = 0
+    start = find(1)
+    while start >= 0:
+        cycles += 1
+        left[start] = 0
+        x = a * start % n
+        while x != start:
+            left[x] = 0
+            x = a * x % n
+        start = find(1, start + 1)
+    return -1 if (members.count(1) - cycles) & 1 else 1
 
 
 def zolotarev_symbol(a, n_fact: Factorization, k):

@@ -173,9 +173,14 @@ class TestFactorize:
     def test_rho_timeout(self, monkeypatch):
         # Both factors are safe primes, so the order of 2 has a prime factor
         # near 2^31 at each and both p - 1 stages leave the split to rho.
+        # The refusal names the cofactor's size and the cap, not its digits.
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
-        with pytest.raises(FactorizationTimeout):
-            factorize(SAFE_P * SAFE_Q)
+        n = SAFE_P * SAFE_Q
+        with pytest.raises(FactorizationTimeout) as info:
+            factorize(n)
+        message = str(info.value)
+        assert "64-bit cofactor" in message and "cap of 1,000" in message
+        assert str(n) not in message
 
     def test_pm1_runs_before_rho(self, monkeypatch):
         # 3 * 2^30 + 1 is prime and its p - 1 is smooth; no rho iteration

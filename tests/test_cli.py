@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import residuo
 from residuo import arithmetic, selftest
 from residuo.cli import _ORACLES, main
 
@@ -91,6 +96,22 @@ class TestUsage:
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "k, code, out", [("2", 0, '{"symbol": -1}\n'), ("0", 1, "")]
+    )
+    def test_console_script_exits_with_mains_code(self, k, code, out):
+        # `entrypoint` is what pyproject.toml installs as `residuo`: it reads
+        # sys.argv and turns main's return value into the exit status.
+        src = Path(residuo.__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", "from residuo.cli import entrypoint; entrypoint()",
+             "symbol", "--a", "4", "--n", "15", "--k", k],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stdout) == (code, out), done.stderr
+
 
 class TestSubgroup:
     def test_examples(self, capsys):
@@ -150,10 +171,15 @@ class TestSemiprimeBits:
     def test_factorization_timeout_exits_1(self, capsys, monkeypatch):
         # The product of two 32-bit safe primes needs rho, capped here.
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
-        code, out, err = run(capsys, "semiprime-bits", "--n", str(4294965887 * 4294967087))
+        n = str(4294965887 * 4294967087)
+        code, out, err = run(capsys, "semiprime-bits", "--n", n)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "rho" in err
+        assert err == (
+            "error: rho iteration cap of 1,000 exceeded"
+            " while splitting a 64-bit cofactor\n"
+        )
+        assert n not in err
 
     @pytest.mark.parametrize("n", ["13", "9", "105", "27", "3125"])
     def test_prime_or_square_exits_1(self, capsys, n):

@@ -365,4 +365,18 @@ class TestThreeWayAgreement:
 
         report = sweep_oracle_agreement(300, 3)
         assert report.passed, report.failures
-        assert report.cases > 0
+        assert report.cases == 24326
+
+    def test_bound_past_sieve_refused_before_factorizing(self, monkeypatch):
+        # The primes are listed first, so a bound past the sieve's 2^22
+        # ceiling is refused before any modulus is factorized.
+        import residuo.selftest
+        from residuo.selftest import sweep_oracle_agreement
+
+        def refuse(n):
+            raise AssertionError(f"factorized {n}")
+
+        monkeypatch.setattr(residuo.selftest, "factorize", refuse)
+        monkeypatch.setattr(oracle_module, "factorize", refuse)
+        with pytest.raises(SearchSpaceTooLarge):
+            sweep_oracle_agreement(2**22 + 1, 1)

@@ -114,41 +114,70 @@ class TestRestrictedSign:
             restricted_sign(2, 15, 1, True)
 
 
-def _structural_sign(a, n, k, units_only):
-    """The sign of x -> a*x mod a squarefree n on its 2^k-th power residues,
-    read off the group structure with no enumeration; None when the unit a
-    does not preserve that set.
+def _layer_sign(a, p, f, j):
+    """(|H|, sign of x -> a*x on H) for H the level-j units mod p^f, or
+    None when a is not in H.
 
-    Mod an odd prime p the level-k units form the cyclic subgroup of order
-    m = (p-1)/2^min(k, nu_2(p-1)).  Every orbit of x -> a*x on it has length
-    ord(a), so a preserves it exactly when a^m = 1, and the sign is -1
-    exactly when m is even and a^(m/2) != 1.  p = 2 contributes {1}.  The
-    all-residues kind adds 0, a fixed point, to each part.  By the CRT the
-    set mod n is the product X of the parts X_p, acted on componentwise,
-    so each part's sign counts |X|/|X_p| times."""
+    For any finite group H holding a, the orbits of x -> a*x are the cosets
+    of <a>, |H|/ord(a) cycles of length ord(a), so the sign is -1 exactly
+    when nu_2(ord a) = nu_2(|H|) >= 1.  With s = nu_2(|H|), b = a^(|H|>>s)
+    has order 2^nu_2(ord a), counted as the squarings that take b to 1.
+
+    Mod an odd p^f, H is the cyclic subgroup of order
+    phi(p^f) >> min(j, nu_2(p-1)), and a is in it exactly when a^|H| = 1.
+    Mod 2^f, H is {1} at f = 1 and every odd residue at j = 0; otherwise it
+    is the residues = 1 mod 2^min(j+2, f), of order 2^max(f-2-j, 0)."""
+    q = p**f
+    if p > 2:
+        size = (p - 1) * p ** (f - 1) >> min(j, valuation(p - 1, 2))
+        if pow(a, size, q) != 1:
+            return None
+    elif f == 1:
+        size = 1
+    elif j == 0:
+        size = 1 << (f - 1)
+    else:
+        if a % (1 << min(j + 2, f)) != 1:
+            return None
+        size = 1 << max(f - 2 - j, 0)
+    s = valuation(size, 2)
+    b, squarings = pow(a, size >> s, q), 0
+    while b != 1:
+        b, squarings = b * b % q, squarings + 1
+    return size, -1 if s and squarings == s else 1
+
+
+def _structural_sign(a, n, k, units_only):
+    """The sign of x -> a*x mod n on its 2^k-th power residues, read off the
+    group structure with no enumeration; None when the unit a does not
+    preserve that set.
+
+    Mod p^e the units kind is the level-k units.  The all-residues kind is
+    the disjoint layers {0}, a fixed point, and p^w * H_k(p^(e-w)) for each
+    w = v*2^k < e, v >= 0, on which a acts as a mod p^(e-w): the layer signs
+    multiply and the layer sizes add up.  By the CRT the set mod n is the
+    product X of the parts X_i, acted on componentwise, so each part's sign
+    counts |X|/|X_i| times."""
     parts = []
-    for p, _ in factorize(n).factors:
-        m, sign = 1, 1
-        if p > 2:
-            m = (p - 1) >> min(k, valuation(p - 1, 2))
-            if pow(a, m, p) != 1:
+    for p, e in factorize(n).factors:
+        layers = [] if units_only else [(1, 1)]
+        for w in range(0, 1 if units_only else e, 1 << k):
+            layer = _layer_sign(a, p, e - w, k)
+            if layer is None:
                 return None
-            if m % 2 == 0 and pow(a, m // 2, p) != 1:
-                sign = -1
-        parts.append((m if units_only else m + 1, sign))
+            layers.append(layer)
+        parts.append((sum(m for m, _ in layers), math.prod(s for _, s in layers)))
     size = math.prod(m for m, _ in parts)
     return math.prod(sign ** (size // m) for m, sign in parts)
 
 
 class TestStructuralSign:
-    # An independent reading of the sign the mask walk computes, for the
-    # squarefree n that Section 3's theorem and the oracle route reach.
+    # An independent reading of the sign the mask walk computes, at every
+    # modulus: prime powers and powers of 2 included.
 
     def test_matches_restricted_sign(self):
         seen = set()
         for n in range(1, 300):
-            if any(e > 1 for _, e in factorize(n).factors):
-                continue
             units = [a for a in range(n) if math.gcd(a, n) == 1]
             for k in range(4):
                 for units_only in (True, False):
