@@ -33,8 +33,8 @@ _ORACLES = {
 
 
 def _cmd_symbol(args):
-    # Euler is the factor oracle, whose Euler criterion at a prime modulus
-    # is exactly `symbol_prime_checked`.
+    # Euler is the factor oracle, which at a prime modulus equals
+    # `symbol_prime_checked` in value; it answers level 1 by reciprocity.
     if args.method == "euler" and not is_prime(args.n):
         raise InvalidInput("--method euler requires a prime modulus")
     oracle = _ORACLES["factor" if args.method == "euler" else args.method]()

@@ -13,10 +13,11 @@ at which m is not a 2^level-th power residue mod `prime`.
 
 The routes differ only in how a well-posed query is evaluated, each one
 function `route(m, fact, k)` of m mod n, n's factorization and k: the
-factor oracle's `symbol_composite` (the Euler criterion at each prime; the
-reference), the definition oracle's `symbol_definition` (exhaustive
-solvability search per prime; the cross-check), and the Zolotarev oracle's
-`zolotarev_symbol` (permutation signs at prime and semiprime n).
+factor oracle's `symbol_composite` (the reference: the Jacobi symbol of n's
+odd part at level 1, the Euler criterion at each prime above it), the
+definition oracle's `symbol_definition` (exhaustive solvability search per
+prime; the cross-check), and the Zolotarev oracle's `zolotarev_symbol`
+(permutation signs at prime and semiprime n).
 """
 
 import math
@@ -57,9 +58,6 @@ class OracleStats:
     @property
     def max_k_seen(self):
         return max(self.calls_by_k, default=0)
-
-    def record(self, k):
-        self.calls_by_k[k] += 1
 
     def snapshot(self):
         return OracleStats(self.calls_by_k)
@@ -103,7 +101,7 @@ class CrsOracle:
         if math.gcd(m, n) != 1:
             raise NotCoprime(f"gcd({m}, {n}) > 1")
         with self._lock:
-            self.stats.record(k)
+            self.stats.calls_by_k[k] += 1
         return self.route(m % n, self.factorization(n), k)
 
     def factorization(self, n):
@@ -129,7 +127,8 @@ def _verify_factorization(fact: Factorization):
 
 class FactorOracle(CrsOracle):
     """The composite symbol via the Euler criterion, preconditions checked
-    per prime and level."""
+    per prime and level; level 1 is the Jacobi symbol of n's odd part, the
+    same value by reciprocity."""
 
     route = staticmethod(symbol_composite)
 

@@ -2,7 +2,9 @@
 
 Two prime-level evaluation routes are provided: exhaustive solvability
 search (the brute-force reference) and the Euler-type power criterion.  The
-composite symbol is the product over prime factors with multiplicity.
+composite symbol is the product over prime factors with multiplicity; the
+Euler route's level 1 is the Jacobi symbol of n's odd part, one reciprocity
+run in place of one power per prime.
 
 The residue sets behind the definition route are cached byte masks, built
 by the shape of n: a CRT product of the parts' masks at composite n, one
@@ -22,7 +24,7 @@ from itertools import compress
 from operator import and_
 from typing import NamedTuple
 
-from .arithmetic import Factorization, factorize, valuation
+from .arithmetic import Factorization, factorize, jacobi, valuation
 from .errors import (
     InvalidInput,
     NotCoprime,
@@ -212,7 +214,7 @@ def symbol_prime_checked(a, p, k):
         return 1
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    v = valuation(p - 1, 2)
+    v = ((p - 1) & (1 - p)).bit_length() - 1  # nu_2(p - 1), as p >= 2 here
     r = pow(a, (p - 1) >> min(k, v), p)
     if r == 1:
         return 1
@@ -228,12 +230,19 @@ def symbol_prime_checked(a, p, k):
 
 def symbol_composite(a, n_fact: Factorization, k):
     """(a|n)_{2^k} as the product over the prime factors of n with
-    multiplicity, preconditions verified per prime and level."""
+    multiplicity, preconditions verified per prime and level.
+
+    Level 1 has no precondition at a unit, and there the product of the
+    Euler criteria at the odd primes is the Jacobi symbol of n's odd part
+    (the factor 2 gives +1), so it is read by reciprocity with no power.
+    Levels k >= 2 evaluate `symbol_prime_checked` at each prime."""
     n = n_fact.value
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
+    if k == 1:
+        return jacobi(a, n // (n & -n))
     result = 1
     for p, e in n_fact.factors:
         # Checked at even multiplicity too: the precondition must hold there

@@ -99,6 +99,12 @@ class TestFactorOracle:
         with pytest.raises(InvalidInput):
             FactorOracle(known=[Factorization(((4, 1), (9, 1)))])
 
+    def test_level_1_at_even_n(self):
+        # Level 1 reads the Jacobi symbol of n's odd part, 35 here, since
+        # the Jacobi symbol itself refuses an even modulus.
+        assert FactorOracle().crs_query(3, 70, 1) == jacobi(3, 35) == 1
+        assert FactorOracle().crs_query(3, 56, 1) == jacobi(3, 7) == -1
+
 
 def _counting_factorize(monkeypatch):
     # Every n the oracle module factorizes, in order.

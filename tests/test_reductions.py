@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -410,3 +411,96 @@ class TestVerdictJson:
             "is_residue": True,
             "method": "theorem_t4",
         }
+
+
+def _pinned_prime(rng, bits, r):
+    # The least prime = r (mod 4) from a random bits-bit start.
+    x = rng.getrandbits(bits) | (1 << (bits - 1))
+    x += (r - x) % 4
+    while not is_prime(x):
+        x += 4
+    return x
+
+
+def _pinned_semiprimes():
+    # (N, a) at 40, 48, 56 and 64 bits: p = q = 1, p = q = 3 and p = 1,
+    # q = 3 (mod 4), with a random a of Jacobi symbol (a|N) = +1.
+    rng = random.Random(22)
+    for bits in (40, 48, 56, 64):
+        for rp, rq in ((1, 1), (3, 3), (1, 3)):
+            n = _pinned_prime(rng, bits // 2, rp) * _pinned_prime(rng, bits - bits // 2, rq)
+            a = rng.randrange(2, n)
+            while jacobi(a, n) != 1:
+                a = rng.randrange(2, n)
+            yield n, a
+
+
+PINNED_CALLS = {
+    "deterministic": lambda n, a, oracle: two_squares_oracle(n, oracle),
+    "probabilistic": lambda n, a, oracle: two_squares_oracle(
+        n, oracle, mode="probabilistic"
+    ),
+    "valuations": lambda n, a, oracle: semiprime_valuations(n, oracle),
+    "qrp": lambda n, a, oracle: qrp_decide(n, a, oracle),
+    "c2": lambda n, a, oracle: qrp_decide_c2(n, a, oracle),
+}
+
+# Queries by level of each reduction on each N of `_pinned_semiprimes`,
+# in `PINNED_CALLS` order, as the per-prime Euler route gave them; {} is a
+# refusal before any query.
+PINNED_QUERIES = {
+    955978848689: ({1: 156, 2: 156}, {1: 128, 2: 128}, {1: 1, 2: 1, 3: 1, 4: 1}, {}, {}),
+    1040076999601: ({1: 4, 2: 4}, {1: 2, 2: 2}, {1: 1, 2: 1}, {}, {}),
+    504685329091: ({1: 1, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 6, 3: 1, 4: 1}, {2: 1}, {2: 1}),
+    145139920136777: ({1: 216, 2: 216}, {1: 128, 2: 128}, {1: 1, 2: 1, 3: 1}, {}, {}),
+    148448148356129: ({1: 2, 2: 2}, {1: 3, 2: 3}, {1: 1, 2: 1}, {}, {}),
+    144822479259527: ({1: 3, 2: 3}, {1: 2, 2: 2}, {1: 1, 2: 6, 3: 1, 4: 1}, {2: 1}, {2: 1}),
+    45085007379793897: (
+        {1: 289, 2: 289},
+        {1: 128, 2: 128},
+        {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1},
+        {4: 1},
+        {},
+    ),
+    32455064880502721: ({1: 2, 2: 2}, {1: 3, 2: 3}, {1: 1, 2: 1}, {}, {}),
+    33842347135137371: ({1: 3, 2: 3}, {1: 1, 2: 1}, {1: 1, 2: 1, 3: 1}, {2: 1}, {2: 1}),
+    9429545137816122133: (
+        {1: 367, 2: 367},
+        {1: 128, 2: 128},
+        {1: 1, 2: 1, 3: 2, 4: 1},
+        {3: 1},
+        {},
+    ),
+    15763089888570096713: ({1: 2, 2: 2}, {1: 2, 2: 2}, {1: 1, 2: 1}, {}, {}),
+    9234989208805037707: ({1: 3, 2: 3}, {1: 2, 2: 2}, {1: 1, 2: 1, 3: 1}, {2: 1}, {2: 1}),
+}
+
+
+class TestQueryCountPins:
+    # A faster route must spend exactly the queries the reductions spent
+    # before, level by level, refusals included.
+
+    def test_semiprimes(self):
+        cases = list(_pinned_semiprimes())
+        assert [n for n, _ in cases] == list(PINNED_QUERIES)
+        for n, a in cases:
+            for (name, call), expected in zip(PINNED_CALLS.items(), PINNED_QUERIES[n]):
+                oracle = FactorOracle()
+                start = oracle.stats.snapshot()
+                try:
+                    call(n, a, oracle)
+                except InvalidInput:
+                    assert expected == {}, (n, name)
+                assert dict(oracle.stats.since(start).calls_by_k) == expected, (n, name)
+
+    def test_solvable_without_candidate_factor(self):
+        # p = q = 1 (mod 4) with both primes past every candidate: the
+        # deterministic check asks each candidate once at levels 1 and 2.
+        for n, _ in _pinned_semiprimes():
+            fact = factorize(n)
+            if all(p % 4 == 1 for p in fact.primes()):
+                oracle = FactorOracle()
+                assert two_squares_oracle(n, oracle).solvable
+                c = len(candidate_prime_set(n))
+                assert fact.primes()[0] > candidate_prime_set(n)[-1]
+                assert dict(oracle.stats.calls_by_k) == {1: c, 2: c}

@@ -187,6 +187,18 @@ class TestComposite:
                 if math.gcd(a, n) == 1:
                     assert symbol_composite(a, fact, 1) == jacobi(a, n)
 
+    def test_k1_is_the_euler_product(self):
+        # Level 1 is read by reciprocity, so it is tied here to the Euler
+        # criterion at each prime of odd multiplicity, at every n <= 600:
+        # even n, prime powers and square factors included.
+        for n in range(1, 601):
+            fact = factorize(n)
+            odd = [p for p, e in fact.factors if e % 2]
+            for a in range(n):
+                if math.gcd(a, n) == 1:
+                    expected = math.prod(symbol_prime_checked(a, p, 1) for p in odd)
+                    assert symbol_composite(a, fact, 1) == expected, (a, n)
+
     def test_violation_names_prime_and_level(self):
         with pytest.raises(PreconditionViolated) as info:
             symbol_composite(2, factorize(39), 2)

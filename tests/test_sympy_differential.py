@@ -1,12 +1,14 @@
 """Differential tests against sympy beyond desk scale (skipped without it)."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from residuo import arithmetic
-from residuo.arithmetic import factorize, is_prime, primes_upto
+from residuo.arithmetic import Factorization, factorize, is_prime, primes_upto
+from residuo.oracle import FactorOracle
 from residuo.symbols import symbol_prime_checked
 
 sympy = pytest.importorskip("sympy")
@@ -190,3 +192,28 @@ def test_is_prime(n):
     n |= 1
     assert is_prime(n) == sympy.isprime(n)
     assert is_prime(sympy.nextprime(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(40, 128),
+    st.sampled_from((0, 1, 3)),
+    st.integers(0, 2**32),
+    st.integers(1, 2**128),
+)
+def test_factor_oracle_level_1(bits, j, seed, m):
+    # N = 2^j * p * q at 40-128 bits, asked of an oracle that is told the
+    # factors: level 1 is the Jacobi symbol of N's odd part and the product
+    # of the Legendre symbols at p and q.
+    rng = random.Random(seed)
+    half = (bits - j) // 2
+    p = sympy.nextprime(rng.randrange(1 << (half - 1), 1 << half))
+    q = sympy.nextprime(rng.randrange(1 << (bits - j - half - 1), 1 << (bits - j - half)))
+    if p == q or math.gcd(m, 2 * p * q) != 1:
+        return
+    n = (p * q) << j
+    factors = sorted([(p, 1), (q, 1)] + ([(2, j)] if j else []))
+    oracle = FactorOracle(known=[Factorization(tuple(factors))])
+    answer = oracle.crs_query(m, n, 1)
+    assert answer == sympy.jacobi_symbol(m, p * q)
+    assert answer == sympy.legendre_symbol(m % p, p) * sympy.legendre_symbol(m % q, q)
