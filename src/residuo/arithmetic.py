@@ -89,11 +89,13 @@ class Factorization(NamedTuple):
         return [p for p, _ in self.factors]
 
     def odd_semiprime(self):
-        """(p, q) when the value is p*q for distinct odd primes p < q, the
-        shape the reductions and the semiprime Zolotarev theorem need;
-        None otherwise."""
-        if [e for _, e in self.factors] == [1, 1] and self.factors[0][0] != 2:
-            return self.factors[0][0], self.factors[1][0]
+        """(p, q) when the factors are exactly (p, 1), (q, 1) with 2 < p < q,
+        the shape the reductions and the semiprime Zolotarev theorem need;
+        None otherwise, a hand-built ((7, 1), (7, 1)) included."""
+        if len(self.factors) == 2:
+            (p, e), (q, f) = self.factors
+            if e == f == 1 and 2 < p < q:
+                return p, q
         return None
 
 

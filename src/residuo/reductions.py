@@ -200,7 +200,7 @@ def semiprime_valuations(N, oracle, trial_cap=DEFAULT_TRIAL_CAP):
     `InvalidInput` before any query: N < 3 and even N at once, the rest as
     read from `oracle.factorization(N)`.
     """
-    _odd_semiprime(N, oracle.factorization)
+    _odd_semiprime(N, oracle)
     start = oracle.stats.snapshot()
     v = valuation(N - 1, 2)
     for a in _coprime_draws(N, trial_cap, count(2)):
@@ -263,7 +263,7 @@ def qrp_decide(N, a, oracle):
     by one CRS query at level nu_2(N-1) + 1.  N < 3, even N and a Jacobi
     symbol (a|N) != +1 are refused before N is factorized; Theorem T4's
     promise is then checked on `oracle.factorization(N)` before the query."""
-    p, q = _check_qrp_input(N, a, oracle.factorization)
+    p, q = _odd_semiprime(N, oracle, a)
     if valuation(p - 1, 2) == valuation(q - 1, 2):
         raise InvalidInput(
             f"Theorem T4 needs the factors of N = {N} to have distinct "
@@ -278,7 +278,7 @@ def qrp_decide_c2(N, a, oracle):
     """Squareness of a mod N for N = 3 mod 4 by one CRS query at level 2."""
     if N % 4 != 3:
         raise InvalidInput(f"N must be 3 mod 4, got {N}")
-    _check_qrp_input(N, a, oracle.factorization)
+    _odd_semiprime(N, oracle, a)
     s = oracle.crs_query(a * a % N, N, 2)
     return QrpVerdict(s == 1, "corollary_c2")
 
@@ -300,24 +300,18 @@ def _require_odd(N):
         raise InvalidInput(f"N must be odd and >= 3, got {N}")
 
 
-def _odd_semiprime(N, factorization):
-    # (p, q) from `factorization(N)`, or the refusal every semiprime
-    # reduction gives outside its promise; an N that is even or below 3 is
-    # refused before anything is factorized.
+def _odd_semiprime(N, oracle, a=None):
+    # (p, q) from `oracle.factorization(N)`, or the refusal every semiprime
+    # reduction gives outside its promise.  What costs next to nothing is
+    # refused first, before N is factorized: N < 3, even N and, for QRP's
+    # `a`, a Jacobi symbol (a|N) != +1.
     _require_odd(N)
-    pq = factorization(N).odd_semiprime()
+    if a is not None and jacobi(a % N, N) != 1:
+        raise InvalidInput(f"Jacobi symbol ({a}|{N}) must be +1")
+    pq = oracle.factorization(N).odd_semiprime()
     if pq is None:
         raise InvalidInput(f"N must be an odd semiprime, got {N}")
     return pq
-
-
-def _check_qrp_input(N, a, factorization):
-    # The Jacobi symbol costs next to nothing, so it is read before N is
-    # factorized.
-    _require_odd(N)
-    if jacobi(a % N, N) != 1:
-        raise InvalidInput(f"Jacobi symbol ({a}|{N}) must be +1")
-    return _odd_semiprime(N, factorization)
 
 
 def valuation_relation(b, p, q):

@@ -7,10 +7,11 @@ empty.  Failure entries record the minimal failing instance (sweeps iterate
 in ascending order).
 """
 
-from itertools import compress
+import heapq
+from itertools import chain, compress
 from math import gcd
 
-from .arithmetic import factorize, jacobi, primes_upto, valuation
+from .arithmetic import Factorization, factorize, jacobi, primes_upto, valuation
 from .errors import InvalidInput
 from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
@@ -123,7 +124,7 @@ def sweep_t5(max_k, prime_bound=None, product_bound=None):
     for n, p, q in _odd_semiprimes(product_bound + 1):
         if prime_bound is not None and q > prime_bound:
             continue
-        fact = factorize(n)
+        fact = Factorization(((p, 1), (q, 1)))
         for m, k in _admissible_queries(n, max_k):
             report.check(
                 zolotarev_semiprime(m, p, q, k) == symbol_composite(m, fact, k),
@@ -184,10 +185,12 @@ def sweep_valuation_lemma(prime_bound):
 
 
 def _odd_semiprimes(n_bound):
-    """(n, p, q) for each n = pq < n_bound, p < q odd primes, n ascending."""
-    return [
+    """(n, p, q) for each n = pq < n_bound, p < q odd primes, n ascending,
+    yielded as the sweep reaches n: each n is factorized only then, so the
+    bound costs the sweep time, not memory."""
+    return (
         (n, *pq) for n in range(3, n_bound, 2) if (pq := factorize(n).odd_semiprime())
-    ]
+    )
 
 
 def sweep_valuation_algorithm(n_bound):
@@ -233,8 +236,7 @@ def sweep_two_squares(n_bound, extra=()):
     """Oracle-based two-squares decision vs the Fermat parity criterion."""
     report = SuiteReport("two_squares")
     oracle = FactorOracle()
-    values = list(range(1, n_bound)) + [x for x in extra if x >= n_bound]
-    for n in values:
+    for n in chain(range(1, n_bound), (x for x in extra if x >= n_bound)):
         verdict = two_squares_oracle(n, oracle)
         truth = two_squares_fermat(factorize(n))
         report.check(verdict.solvable == truth.solvable, f"N={n}")
@@ -266,8 +268,8 @@ def sweep_oracle_agreement(n_bound, max_k):
     # The primes first: a bound past the sieve's ceiling is refused before
     # any modulus is factorized.
     primes = primes_upto(n_bound)
-    semiprimes = [n for n, _, _ in _odd_semiprimes(n_bound + 1)]
-    for n in sorted(primes + semiprimes):
+    semiprimes = (n for n, _, _ in _odd_semiprimes(n_bound + 1))
+    for n in heapq.merge(primes, semiprimes):
         for m, k in _admissible_queries(n, max_k):
             a = fac.crs_query(m, n, k)
             b = dfn.crs_query(m, n, k)

@@ -255,6 +255,13 @@ class TestOddSemiprime:
         for n in (2, 6, 9, 13, 45, 105):
             assert factorize(n).odd_semiprime() is None
 
+    def test_hand_built_needs_two_odd_increasing_primes(self):
+        # A Factorization built by hand is not checked, so the shape itself
+        # must ask for 2 < p < q.
+        for factors in (((7, 1), (7, 1)), ((7, 1), (5, 1)), ((2, 1), (3, 1))):
+            assert Factorization(factors).odd_semiprime() is None
+        assert Factorization(((5, 1), (7, 1))).odd_semiprime() == (5, 7)
+
     def test_matches_definition(self):
         for n in range(1, 5000):
             expected = [

@@ -12,7 +12,7 @@ from residuo.errors import (
     SearchExhausted,
     SearchSpaceTooLarge,
 )
-from residuo.oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
+from residuo.oracle import CrsOracle, DefinitionOracle, FactorOracle, ZolotarevOracle
 from residuo.reductions import (
     candidate_prime_set,
     lemma_l4_check,
@@ -352,6 +352,36 @@ class TestQrpPromise:
             with pytest.raises(InvalidInput):
                 decide(n, a, oracle)
         assert oracle.stats.calls_total == 0
+
+
+class TestFreeRefusals:
+    # N < 3, even N and, for QRP, a Jacobi symbol (a|N) != +1 are refused
+    # before any oracle reads N's factorization.
+    @pytest.fixture(autouse=True)
+    def no_factorization(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError(f"factorized {n}")
+
+        for cls in (CrsOracle, ZolotarevOracle):
+            monkeypatch.setattr(cls, "factorization", refuse)
+
+    @pytest.mark.parametrize("n", [-5, 1, 2, 38, 2**64])
+    def test_valuations(self, n):
+        with pytest.raises(InvalidInput):
+            semiprime_valuations(n, FactorOracle())
+
+    # 15 = 3 mod 4 with (7|15) = -1 and (3|15) = 0; the rest are < 3 or even.
+    @pytest.mark.parametrize(
+        "n, a", [(-1, 1), (1, 1), (2, 1), (38, 1), (2**64, 1), (15, 7), (15, 3)]
+    )
+    def test_qrp(self, n, a):
+        for decide in (
+            lambda: qrp_decide(n, a, FactorOracle()),
+            lambda: qrp_decide_c2(n, a, FactorOracle()),
+            lambda: qrp_decide_permutation(n, a),
+        ):
+            with pytest.raises(InvalidInput):
+                decide()
 
 
 class TestValuationRelation:

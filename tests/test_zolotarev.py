@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from residuo.arithmetic import factorize, is_prime, valuation
+from residuo.arithmetic import Factorization, factorize, is_prime, valuation
 from residuo.errors import (
     NotAdmissibleModulus,
     NotAPermutation,
@@ -21,6 +21,7 @@ from residuo.zolotarev import (
     restricted_sign,
     zolotarev_prime,
     zolotarev_semiprime,
+    zolotarev_symbol,
 )
 
 
@@ -260,6 +261,13 @@ class TestZolotarevSemiprime:
             zolotarev_semiprime(3, 2, 7, 2)
         with pytest.raises(NotAdmissibleModulus):
             zolotarev_semiprime(2, 9, 5, 2)
+
+    def test_square_factorization_refused_as_by_the_oracle(self):
+        # 49 read as 7 * 7 is no distinct-prime semiprime, by hand or not.
+        with pytest.raises(NotAdmissibleModulus):
+            zolotarev_symbol(2, Factorization(((7, 1), (7, 1))), 1)
+        with pytest.raises(NotAdmissibleModulus):
+            ZolotarevOracle().crs_query(2, 49, 1)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
