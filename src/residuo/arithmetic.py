@@ -7,10 +7,11 @@ The primes below 2^16 come from one sieve, built on first use and then kept.
 the primes it needs at once, with one gcd against their product: the
 primorial of the primes below 2^j, for the least j that covers min(bound,
 sqrt(n)), each of the 17 built at most once. `factorize` splits what trial
-division leaves with Pollard's p - 1, both stages, before Brent's rho. Stage
-1's exponent comes from the same sieve in 11 blocks, each built at most once;
-stage 2 reads its primes, those in (2^12, 2^16), from the same sieve as one
-table of baby-step/giant-step pairs, built at most once.
+division leaves with Pollard's p - 1 before Brent's rho: stage 1 always,
+stage 2 on cofactors of 50 bits or more. Stage 1's exponent comes from the
+same sieve in 11 blocks, each built at most once; stage 2 reads its primes,
+those in (2^12, 2^16), from the same sieve as one table of
+baby-step/giant-step pairs, built at most once.
 """
 
 import functools
@@ -61,6 +62,11 @@ _PM1_BITS = 12
 # Stage 2 of the p - 1 split takes each prime q in (2^_PM1_BITS, _SIEVE_LIMIT)
 # as kD - j or kD + j, with 0 < j < D/2 coprime to D = _PM1_STEP.
 _PM1_STEP = 210
+
+# Stage 2 runs only on cofactors of at least this many bits: below it rho
+# splits what stage 2 would find in less time than stage 2 takes (measured
+# break-even over 40-64-bit semiprimes).
+_PM1_STAGE2_BITS = 50
 
 # Primes below this bound come from the one cached sieve; above it,
 # `primes_upto` sieves afresh and `trial_division` steps odd d.
@@ -312,7 +318,8 @@ def _pm1_split(n):
     divides it from an earlier prime power on. Each block costs one pow
     and one gcd; a block that reaches order 1 at every prime at once is
     redone one prime power at a time. A stage 1 that ends with gcd 1 hands
-    its power of 2 to stage 2 (`_pm1_stage2`)."""
+    its power of 2 to stage 2 (`_pm1_stage2`) when n has at least
+    _PM1_STAGE2_BITS bits, and gives None below that."""
     a = 2
     for bits in range(2, _PM1_BITS + 1):
         product, powers = _pm1_block(bits)
@@ -328,6 +335,8 @@ def _pm1_split(n):
                 if g != 1:
                     break
         return g if g != n else None
+    if n.bit_length() < _PM1_STAGE2_BITS:
+        return None
     return _pm1_stage2(a, n)
 
 
@@ -404,11 +413,12 @@ def factorize(n):
 
     Trial division strips the primes up to 10^4; every n below 10^8 ends
     there. Each composite cofactor left is split by Pollard's p - 1
-    (`_pm1_split`: stage 1 to 2^12, stage 2 over the primes up to 2^16) and,
-    when that finds nothing, by Brent's rho. Rho raises FactorizationTimeout
-    once the iterations it charges for this n pass 10^7. It charges only the
-    iterations that multiply into its gcd product, not the advance loop
-    between them, so it has done about twice that many steps by then.
+    (`_pm1_split`: stage 1 to 2^12, then, on a cofactor of 50 bits or more,
+    stage 2 over the primes up to 2^16) and, when that finds nothing, by
+    Brent's rho. Rho raises FactorizationTimeout once the iterations it
+    charges for this n pass 10^7. It charges only the iterations that
+    multiply into its gcd product, not the advance loop between them, so it
+    has done about twice that many steps by then.
     Deterministic for a fixed n; intended for desk-scale inputs.
     """
     if n < 1:

@@ -7,10 +7,12 @@ Euler route's level 1 is the Jacobi symbol of n's odd part, one reciprocity
 run in place of one power per prime.
 
 The residue sets behind the definition route are cached byte masks, built
-by the shape of n: a CRT product of the parts' masks at composite n, one
-walk of the subgroup of 2^k-th powers at an odd prime, shared by every level
-above nu_2(p-1) and by both kinds, and squaring level by level elsewhere (see
-`power_residues`).  The cache is bounded by bytes, not by entries: once the
+by the shape of n (see `power_residues`): at an odd prime, found by a
+primality test with no factorization of n, one walk of the subgroup of
+2^k-th powers, shared by every level above nu_2(p-1) and by both kinds, and
+only half as long, then mirrored, while that subgroup holds -1; a CRT product
+of the parts' masks at composite n; and squaring level by level
+elsewhere.  The cache is bounded by bytes, not by entries: once the
 masks built since it was last empty would pass `MASK_BUDGET` bytes, it is
 emptied whole before the new mask goes in.
 
@@ -24,7 +26,7 @@ from itertools import compress
 from operator import and_
 from typing import NamedTuple
 
-from .arithmetic import Factorization, factorize, jacobi, valuation
+from .arithmetic import Factorization, factorize, is_prime, jacobi, valuation
 from .errors import (
     InvalidInput,
     NotCoprime,
@@ -71,20 +73,26 @@ def power_residues(n, k, units_only):
     cache found empty, by that or by an outside `cache_clear()`, counts 0.
 
     Three constructions, by the shape of n:
+    - an odd prime n, k >= 1, told by `is_prime` before anything is
+      factorized: every unit is g^i for a primitive root g (searched once
+      per prime), so the image of the units is the cyclic subgroup H_k
+      generated by h = g^(2^k), of order m = (n-1)/2^k.  With v =
+      nu_2(n-1) the subgroup stops shrinking at level v, so every k > v
+      returns the level-v mask itself, and the all-residues mask is the
+      units mask with byte 0 set, not a second walk.  For k < v, m is even
+      and -1 = h^(m/2) is in H_k, so H_k is the h^i and their negatives
+      for i < m/2: that half is walked, each member stored at the one of x,
+      n-x at most n/2, and the upper half of the mask is copied from the
+      lower as its mirror image.  At k = v, m is odd and all m steps are
+      walked.
     - n with two or more prime-power parts q: by the CRT, a is in the set
       exactly when a mod q is in the set mod q for every q, so the mask is
       the bytewise AND of each part's mask tiled n/q times.  Only (n, k)
       and the parts' entries are cached, no lower level at n.
-    - an odd prime n, k >= 1: every unit is g^i for a primitive root g
-      (searched once per prime), so the image of the units is the cyclic
-      subgroup generated by h = g^(2^k), of order (n-1)/2^k, walked that
-      many steps from 1.  With v = nu_2(n-1) the subgroup stops shrinking
-      at level v, so every k > v returns the level-v mask itself, and the
-      all-residues mask is the units mask with byte 0 set, not a second
-      walk.
     - k = 0, n = 1, n = 2 and prime powers: level 0 is every residue, or
       the units found by zeroing the multiples of each prime factor of n;
       each higher level squares the members of the level below.
+    Only the last two factorize n.
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
@@ -101,6 +109,29 @@ def power_residues(n, k, units_only):
             for p in factorize(n).primes():
                 mask[::p] = bytes(len(range(0, n, p)))
         return _admit(bytes(mask))
+    if n > 2 and is_prime(n):
+        v = valuation(n - 1, 2)
+        if k > v:
+            return power_residues(n, v, units_only)
+        if not units_only:
+            return _admit(b"\x01" + power_residues(n, k, True)[1:])
+        h = pow(_primitive_root(n), 1 << k, n)
+        m = (n - 1) >> k
+        mask = bytearray(n)
+        x = 1
+        if m % 2:
+            for _ in range(m):
+                mask[x] = 1
+                x = x * h % n
+            return _admit(bytes(mask))
+        # -1 = h^(m/2) is a member, so the members are +-h^i for i < m/2:
+        # each is stored at its representative in [1, n/2], then mirrored.
+        half = n // 2
+        for _ in range(m >> 1):
+            mask[x if x <= half else n - x] = 1
+            x = x * h % n
+        mask[half + 1 :] = mask[half:0:-1]
+        return _admit(bytes(mask))
     factors = factorize(n).factors
     if len(factors) > 1:
         masks = (
@@ -108,19 +139,6 @@ def power_residues(n, k, units_only):
             for q in (p**e for p, e in factors)
         )
         return _admit(reduce(and_, masks).to_bytes(n, "big"))
-    if n > 2 and factors[0][1] == 1:
-        v = valuation(n - 1, 2)
-        if k > v:
-            return power_residues(n, v, units_only)
-        if not units_only:
-            return _admit(b"\x01" + power_residues(n, k, True)[1:])
-        h = pow(_primitive_root(n), 1 << k, n)
-        mask = bytearray(n)
-        x = 1
-        for _ in range((n - 1) >> k):
-            mask[x] = 1
-            x = x * h % n
-        return _admit(bytes(mask))
     prev = power_residues(n, k - 1, units_only)
     mask = bytearray(n)
     for x in compress(range(n), prev):

@@ -132,7 +132,7 @@ class TestIsPrime:
 # Two 32-bit safe primes, (p - 1)/2 prime, and a prime with a smooth p - 1.
 SAFE_P, SAFE_Q = 4294965887, 4294967087
 DEEP_P = 3 * 2**30 + 1
-# Two 31-bit primes whose p - 1 has one prime above 2^12, in stage 2's
+# Two 32-bit primes whose p - 1 has one prime above 2^12, in stage 2's
 # range below 2^16.
 STAGE2_P = 2 * 47 * 349 * 65521 + 1
 STAGE2_R = 4 * 5 * 11 * 149 * 65519 + 1
@@ -200,6 +200,16 @@ class TestFactorize:
         n = STAGE2_P * STAGE2_R
         assert arithmetic._pm1_split(n) is None
         assert factorize(n).factors == ((STAGE2_R, 1), (STAGE2_P, 1))
+
+    def test_pm1_stage2_only_from_50_bits(self):
+        # 131267 and 262643 are safe primes of 18 and 19 bits: the order of
+        # 2 mod each has a prime factor above 2^16, out of both stages'
+        # reach, so only STAGE2_P can be split off, and only by stage 2.
+        below, at = STAGE2_P * 131267, STAGE2_P * 262643
+        assert below.bit_length() == 49 and at.bit_length() == 50
+        assert arithmetic._pm1_split(below) is None
+        assert arithmetic._pm1_split(at) == STAGE2_P
+        assert factorize(below).factors == ((131267, 1), (STAGE2_P, 1))
 
     def test_pm1_stage2_table(self):
         # Each prime q in (2^12, 2^16) is kD - j or kD + j for one marked

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import random
+import time
+import tracemalloc
 from collections import deque
 from itertools import compress, repeat
 
@@ -409,6 +411,78 @@ class TestResidueMasksAtScale:
                     assert mask is power_residues(p, min(k, v), units), (p, k)
                 units_mask = power_residues(p, k, True)
                 assert power_residues(p, k, False) == b"\x01" + units_mask[1:]
+
+
+def _unit_power_images(p, top):
+    """The byte masks of {x^(2^k) mod p : 0 < x < p} for k = 0..top, each
+    level the squares of the members of the level below."""
+    xs = range(1, p)
+    for _ in range(top + 1):
+        image = bytearray(p)
+        deque(map(image.__setitem__, xs, repeat(1)), maxlen=0)
+        yield bytes(image)
+        xs = map(pow, compress(range(p), image), repeat(2), repeat(p))
+
+
+# nu_2(p - 1) = 8, 12, 13, 16 and 18.
+DEEP_PRIMES = (257, 12289, 40961, 65537, 786433)
+
+
+class TestOddPrimeWalk:
+    # Where -1 is a 2^k-th power (k < nu_2(p - 1)) only half the subgroup
+    # is walked and the mask is mirrored; at k = nu_2(p - 1) the whole
+    # subgroup, of odd order, is walked.
+
+    def test_every_level_is_the_power_image(self):
+        for p in [*filter(is_prime, range(3, 3000)), *DEEP_PRIMES]:
+            v = valuation(p - 1, 2)
+            for k, image in enumerate(_unit_power_images(p, v + 1)):
+                assert power_residues(p, k, True) == image, (p, k)
+                assert power_residues(p, k, False) == b"\x01" + image[1:], (p, k)
+
+    def test_no_factorization_of_the_prime(self, monkeypatch):
+        # An odd prime is told by is_prime, so a miss at k >= 1 factorizes
+        # only p - 1, for its primitive root; a composite is still factorized.
+        primes, asked = (3, 5, 17, 97, *DEEP_PRIMES[:-1]), []
+
+        def guarded(n):
+            if n in primes:
+                raise AssertionError(f"factorize({n}) at an odd prime")
+            asked.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(residuo.symbols, "factorize", guarded)
+        power_residues.cache_clear()
+        for p in primes:
+            for k in range(1, valuation(p - 1, 2) + 2):
+                for units in (True, False):
+                    assert power_residues(p, k, units)[1] == 1
+        assert power_residues(15, 1, True)[4] == 1
+        assert 15 in asked
+
+    def test_cold_walk_memory_and_time(self):
+        # Mask and bytes copy at once, 2n bytes; the mirror's slice copy
+        # (n/2) is freed before the copy.  The full walk took about 26 ms
+        # on a 2-vCPU Xeon; the bound below is that four times over, for
+        # slow hosts, and the time measured is in the message.
+        p = 786433
+        residuo.symbols._primitive_root(p)
+        power_residues.cache_clear()
+        tracemalloc.start()
+        try:
+            power_residues(p, 1, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p, peak
+        times = []
+        for _ in range(3):
+            power_residues.cache_clear()
+            start = time.perf_counter()
+            power_residues(p, 1, True)
+            times.append(time.perf_counter() - start)
+        best_ms = min(times) * 1000
+        assert best_ms < 4 * 26, f"cold walk at {p}: {best_ms:.1f} ms"
 
 
 def _held_bytes():
