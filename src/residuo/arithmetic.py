@@ -129,15 +129,18 @@ def jacobi(a, n):
         raise InvalidModulus(f"Jacobi symbol needs odd n >= 1, got {n}")
     a %= n
     result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+    while a:
+        if not a & 1:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            # (2|n) = -1 exactly when n = 3 or 5 mod 8, that is when bits 1
+            # and 2 of n differ.
+            if twos & 1 and (n ^ n >> 1) & 2:
                 result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        # Reciprocity: a and n odd, the sign flips when both are 3 mod 4.
+        if a & n & 2:
             result = -result
-        a %= n
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

@@ -27,6 +27,7 @@ from residuo.oracle import (
 from residuo.symbols import (
     symbol_composite,
     symbol_definition,
+    symbol_prime_checked,
     symbol_prime_definition,
 )
 from residuo.zolotarev import zolotarev_symbol
@@ -305,6 +306,31 @@ def test_every_route_refuses_a_non_unit_first():
     for route in (symbol_composite, symbol_definition, zolotarev_symbol):
         with pytest.raises(NotCoprime):
             route(26, factorize(39), 2)
+
+
+def _error(route, *args):
+    # The error's type, message, prime and level, or None for an answer.
+    try:
+        route(*args)
+    except ResiduoError as exc:
+        return type(exc), str(exc), getattr(exc, "prime", None), getattr(exc, "level", None)
+    return None
+
+
+def test_factor_route_refuses_as_its_first_refusing_prime():
+    # Each refusal of the factor route, over TestOneContract's cases, is
+    # that of symbol_prime_checked at the first prime of n that refuses,
+    # message included.
+    refused = 0
+    for m, n, k in TestOneContract.CASES:
+        fact = factorize(n)
+        got = _error(symbol_composite, m, fact, k)
+        if got is None:
+            continue
+        per_prime = (_error(symbol_prime_checked, m, p, k) for p in fact.primes())
+        assert got == next(filter(None, per_prime)), (m, n, k)
+        refused += 1
+    assert refused == 13417
 
 
 class TestStats:

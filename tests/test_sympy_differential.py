@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from residuo import arithmetic
-from residuo.arithmetic import Factorization, factorize, is_prime, primes_upto
+from residuo.arithmetic import Factorization, factorize, is_prime, jacobi, primes_upto
 from residuo.oracle import FactorOracle
 from residuo.symbols import symbol_prime_checked
 
@@ -217,3 +217,31 @@ def test_factor_oracle_level_1(bits, j, seed, m):
     answer = oracle.crs_query(m, n, 1)
     assert answer == sympy.jacobi_symbol(m, p * q)
     assert answer == sympy.legendre_symbol(m % p, p) * sympy.legendre_symbol(m % q, q)
+
+
+# Odd n below 2^256; a of either sign, with long runs of trailing zero bits
+# among them, which the Jacobi symbol strips as one shift.
+_ODD_256 = st.integers(0, 2**255 - 1).map(lambda h: 2 * h + 1)
+_SIGNED = st.one_of(
+    st.integers(-(2**300), 2**300),
+    st.builds(lambda b, s: b << s, st.integers(-(2**64), 2**64), st.integers(0, 300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ODD_256, _SIGNED)
+def test_jacobi(n, a):
+    assert jacobi(a, n) == sympy.jacobi_symbol(a, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2**127 - 1).map(lambda h: 2 * h + 1),
+    st.integers(0, 2**127 - 1).map(lambda h: 2 * h + 1),
+    _SIGNED,
+)
+def test_jacobi_off_the_units(d, c, b):
+    # n = d * c < 2^256 and a = d * b share the factor d >= 3, so the
+    # symbol is 0.
+    n, a = d * c, d * b
+    assert jacobi(a, n) == sympy.jacobi_symbol(a, n) == 0
