@@ -77,32 +77,59 @@ _SIEVE_LIMIT = 1 << 16
 _SIEVE_CEILING = 1 << 22
 
 
-class Factorization(NamedTuple):
-    """Prime-power decomposition: factors as (prime, exponent) pairs with
-    strictly increasing primes."""
-
+class _Factors(NamedTuple):
     factors: tuple
+    value: int
 
-    @property
-    def value(self):
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
+
+class Factorization(_Factors):
+    """Prime-power decomposition of n = value: (prime, exponent) pairs,
+    primes strictly increasing, exponents >= 1.  A hand-built list is
+    checked once, here; `factorize` builds through `_factorization`,
+    unchecked.  `_make`, `_replace`, copy and pickle rebuild through the
+    check, and `value` is always computed from the factors, never taken."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors):
+        if not isinstance(factors, (tuple, list)):
+            raise InvalidInput("factor list must be strictly increasing primes")
+        n = last = 1
+        for pair in factors:
+            p, e = pair if isinstance(pair, tuple) and len(pair) == 2 else (0, 1)
+            if not isinstance(p, int) or p <= last or not is_prime(p):
+                raise InvalidInput("factor list must be strictly increasing primes")
+            if not isinstance(e, int) or e < 1:
+                raise InvalidInput("exponents must be positive")
+            n, last = n * p**e, p
+        return _factorization(tuple(factors), n)
+
+    @classmethod
+    def _make(cls, fields):
+        factors, _ = fields
+        return cls(factors)
+
+    def __reduce__(self):
+        return type(self), (self.factors,)
 
     def primes(self):
         """Distinct primes, ascending."""
         return [p for p, _ in self.factors]
 
     def odd_semiprime(self):
-        """(p, q) when the factors are exactly (p, 1), (q, 1) with 2 < p < q,
-        the shape the reductions and the semiprime Zolotarev theorem need;
-        None otherwise, a hand-built ((7, 1), (7, 1)) included."""
+        """(p, q) when the factors are exactly (p, 1), (q, 1) with 2 < p,
+        hence p < q, the shape the reductions and the semiprime Zolotarev
+        theorem need; None otherwise."""
         if len(self.factors) == 2:
             (p, e), (q, f) = self.factors
-            if e == f == 1 and 2 < p < q:
+            if e == f == 1 and p > 2:
                 return p, q
         return None
+
+
+def _factorization(factors, n):
+    # The unchecked build, for factors known to be n's prime factorization.
+    return tuple.__new__(Factorization, (factors, n))
 
 
 def valuation(n, b):
@@ -440,4 +467,4 @@ def factorize(n):
         d = _pm1_split(m) or _rho_split(m, budget)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(tuple(sorted(counts.items())))
+    return _factorization(tuple(sorted(counts.items())), n)

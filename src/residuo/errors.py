@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all residuo modules."""
+"""Exception hierarchy shared by all residuo modules, and `digits`, which
+prints an integer of any size in their messages."""
 
 
 class ResiduoError(Exception):
@@ -57,3 +58,12 @@ class NotAdmissibleModulus(ResiduoError):
 
 class SearchExhausted(ResiduoError):
     """A randomized or enumerative search hit its trial cap."""
+
+
+def digits(n):
+    """n in decimal for an error message, or its size where Python refuses
+    to print that many digits (past 4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"

@@ -6,10 +6,11 @@ n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
 factorized once per oracle and cached (the public `factorization(n)`,
 which the reductions also read to refuse a modulus outside their promise
 without spending a query; the last `FACTORIZATIONS_KEPT` computed ones are
-kept), and a query whose level-(k-1)
-symbol is -1 at some prime of n raises `PreconditionViolated` with
-`prime` set to that prime of n and `level` (<= k-1) to the lowest level
-at which m is not a 2^level-th power residue mod `prime`.
+kept, and a `known=` one, prime-valid since it was built, is never
+factorized), and a query whose level-(k-1) symbol is -1 at some prime of
+n raises `PreconditionViolated` with `prime` set to that prime of n and
+`level` (<= k-1) to the lowest level at which m is not a 2^level-th power
+residue mod `prime`.
 
 The routes differ only in how a well-posed query is evaluated, each one
 function `route(m, fact, k)` of m mod n, n's factorization and k: the
@@ -31,8 +32,8 @@ import math
 import threading
 from collections import Counter
 
-from .arithmetic import Factorization, factorize, is_prime
-from .errors import InvalidInput, NotCoprime, SearchSpaceTooLarge
+from .arithmetic import Factorization, factorize
+from .errors import InvalidInput, NotCoprime, SearchSpaceTooLarge, digits
 from .symbols import ENUMERATION_LIMIT, symbol_composite, symbol_definition
 from .zolotarev import zolotarev_symbol
 
@@ -85,10 +86,11 @@ class CrsOracle:
     """Validates queries, keeps stats and the factorization cache, and
     delegates evaluation to the subclass's `route(m % n, fact, k)`.
 
-    `known` factorizations are checked to be prime factorizations and kept
-    for the oracle's life.  Computed ones are kept up to
-    `FACTORIZATIONS_KEPT`, the oldest dropped first, so a stream of fresh
-    moduli holds bounded memory while no known one is ever factorized.
+    `known` entries must be `Factorization`s, prime-valid since they were
+    built, and are kept for the oracle's life, keyed by their `value`.
+    Computed ones are kept up to `FACTORIZATIONS_KEPT`, the oldest dropped
+    first, so a stream of fresh moduli holds bounded memory while no known
+    one is ever factorized.
     """
 
     def __init__(self, known=None):
@@ -97,7 +99,10 @@ class CrsOracle:
         self._cache = {}
         self._known = {}
         for fact in known or ():
-            _verify_factorization(fact)
+            if not isinstance(fact, Factorization):
+                raise InvalidInput(
+                    f"known= takes Factorization entries, got {type(fact).__name__}"
+                )
             self._known[fact.value] = fact
 
     def crs_query(self, m, n, k):
@@ -106,7 +111,7 @@ class CrsOracle:
         if n < 2:
             raise InvalidInput(f"n must be >= 2, got {n}")
         if math.gcd(m, n) != 1:
-            raise NotCoprime(f"gcd({m}, {n}) > 1")
+            raise NotCoprime(f"gcd({m}, {digits(n)}) > 1")
         # Counted before n's factorization is read, so a query whose n
         # fails to factorize still counts.
         self._lock.acquire()
@@ -127,14 +132,6 @@ class CrsOracle:
                     del self._cache[next(iter(self._cache))]
                 self._cache[n] = fact
         return fact
-
-
-def _verify_factorization(fact: Factorization):
-    primes = fact.primes()
-    if primes != sorted(set(primes)) or not all(is_prime(p) for p in primes):
-        raise InvalidInput("factor list must be strictly increasing primes")
-    if any(e < 1 for _, e in fact.factors):
-        raise InvalidInput("exponents must be positive")
 
 
 class FactorOracle(CrsOracle):
@@ -163,7 +160,7 @@ class ZolotarevOracle(CrsOracle):
         # The limit comes first, so no n beyond it is ever factorized, not
         # even by a reduction's promise check.
         if n > ENUMERATION_LIMIT:
-            raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
+            raise SearchSpaceTooLarge(f"n = {digits(n)} exceeds enumeration limit")
         return super().factorization(n)
 
 

@@ -11,7 +11,7 @@ import heapq
 from itertools import chain, compress
 from math import gcd
 
-from .arithmetic import Factorization, factorize, jacobi, primes_upto, valuation
+from .arithmetic import factorize, jacobi, primes_upto, valuation
 from .errors import InvalidInput
 from .oracle import DefinitionOracle, FactorOracle, ZolotarevOracle
 from .reductions import (
@@ -121,10 +121,9 @@ def sweep_t5(max_k, prime_bound=None, product_bound=None):
     report = SuiteReport("t5")
     if product_bound is None:
         product_bound = (prime_bound or 0) ** 2
-    for n, p, q in _odd_semiprimes(product_bound + 1):
+    for n, p, q, fact in _odd_semiprimes(product_bound + 1):
         if prime_bound is not None and q > prime_bound:
             continue
-        fact = Factorization(((p, 1), (q, 1)))
         for m, k in _admissible_queries(n, max_k):
             report.check(
                 zolotarev_semiprime(m, p, q, k) == symbol_composite(m, fact, k),
@@ -185,11 +184,13 @@ def sweep_valuation_lemma(prime_bound):
 
 
 def _odd_semiprimes(n_bound):
-    """(n, p, q) for each n = pq < n_bound, p < q odd primes, n ascending,
-    yielded as the sweep reaches n: each n is factorized only then, so the
-    bound costs the sweep time, not memory."""
+    """(n, p, q, n's factorization) for each n = pq < n_bound, p < q odd
+    primes, n ascending, yielded as the sweep reaches n: each n is
+    factorized only then, so the bound costs the sweep time, not memory."""
     return (
-        (n, *pq) for n in range(3, n_bound, 2) if (pq := factorize(n).odd_semiprime())
+        (n, *pq, fact)
+        for n in range(3, n_bound, 2)
+        if (pq := (fact := factorize(n)).odd_semiprime())
     )
 
 
@@ -198,7 +199,7 @@ def sweep_valuation_algorithm(n_bound):
     true factor valuations, including the recovered low bits."""
     report = SuiteReport("a1")
     oracle = DefinitionOracle()
-    for n, p, q in _odd_semiprimes(n_bound):
+    for n, p, q, _ in _odd_semiprimes(n_bound):
         result = semiprime_valuations(n, oracle)
         expected = sorted((valuation(p - 1, 2), valuation(q - 1, 2)))
         modulus = 1 << result.m
@@ -215,7 +216,7 @@ def sweep_qrp(n_bound):
     """Single-query residuosity decisions vs the exhaustive square test."""
     report = SuiteReport("qrp")
     oracle = FactorOracle()
-    for n, p, q in _odd_semiprimes(n_bound):
+    for n, p, q, _ in _odd_semiprimes(n_bound):
         if valuation(p - 1, 2) == valuation(q - 1, 2):
             continue
         for a in range(1, n):
@@ -268,7 +269,7 @@ def sweep_oracle_agreement(n_bound, max_k):
     # The primes first: a bound past the sieve's ceiling is refused before
     # any modulus is factorized.
     primes = primes_upto(n_bound)
-    semiprimes = (n for n, _, _ in _odd_semiprimes(n_bound + 1))
+    semiprimes = (n for n, *_ in _odd_semiprimes(n_bound + 1))
     for n in heapq.merge(primes, semiprimes):
         for m, k in _admissible_queries(n, max_k):
             a = fac.crs_query(m, n, k)

@@ -36,6 +36,7 @@ from .errors import (
     NotCoprime,
     PreconditionViolated,
     SearchSpaceTooLarge,
+    digits,
 )
 
 ENUMERATION_LIMIT = 10**6
@@ -104,7 +105,7 @@ def power_residues(n, k, units_only):
     if k < 0:
         raise InvalidInput(f"k must be >= 0, got {k}")
     if n > ENUMERATION_LIMIT:
-        raise SearchSpaceTooLarge(f"n = {n} exceeds enumeration limit")
+        raise SearchSpaceTooLarge(f"n = {digits(n)} exceeds enumeration limit")
     if k > n.bit_length():
         # The image stops shrinking once 2^k exceeds n.
         return power_residues(n, n.bit_length(), units_only)
@@ -231,10 +232,11 @@ def symbol_prime_checked(a, p, k):
     the argument checks, in their order (p >= 1, p not dividing a, k = 0
     answered +1, k >= 1), and then the search for the violated level.
 
-    p must be prime, and every oracle passes only the primes of its
-    factorized modulus.  No primality test runs here, since it would cost
-    every query: a composite p can get an answer that means nothing, and
-    only one that shows no such level is refused with `InvalidInput`.
+    p must be prime.  Every route passes only the primes of a
+    `Factorization`, each tested once when it was built.  No primality test
+    runs here, since it would cost every query: a composite p passed in
+    directly can get an answer that means nothing, and only one that shows
+    no such level is refused with `InvalidInput`.
     """
     if k > 0 and p > 1:
         v = ((p - 1) & (1 - p)).bit_length() - 1  # nu_2(p - 1)
@@ -271,7 +273,7 @@ def symbol_composite(a, n_fact: Factorization, k):
     Levels k >= 2 evaluate `symbol_prime_checked` at each prime."""
     n = n_fact.value
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) > 1")
+        raise NotCoprime(f"gcd({a}, {digits(n)}) > 1")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if k == 1:
@@ -291,7 +293,7 @@ def symbol_definition(a, n_fact: Factorization, k):
     multiplicity, each prime-level symbol by exhaustive solvability search;
     the independent cross-check of `symbol_composite`."""
     if math.gcd(a, n_fact.value) != 1:
-        raise NotCoprime(f"gcd({a}, {n_fact.value}) > 1")
+        raise NotCoprime(f"gcd({a}, {digits(n_fact.value)}) > 1")
     result = 1
     for p, e in n_fact.factors:
         # Checked at even multiplicity too, as symbol_composite does.

@@ -18,6 +18,7 @@ from .errors import (
     NotAPermutation,
     NotClosedUnderAction,
     NotCoprime,
+    digits,
 )
 from .symbols import (
     ResidueClassSet,
@@ -115,16 +116,17 @@ def restricted_sign(a, n, k, units_only):
 
 def zolotarev_symbol(a, n_fact: Factorization, k):
     """(a|n)_{2^k} for a unit a and n prime or a distinct-odd-prime
-    semiprime, from its trusted factorization: the zolotarev_prime sign, or
-    at n = pq the zolotarev_semiprime one, after `require_admissible` (which
-    refuses k < 1) at each prime; no primality test runs here."""
+    semiprime, from its factorization, prime-valid since it was built: the
+    zolotarev_prime sign, or at n = pq the zolotarev_semiprime one, after
+    `require_admissible` (which refuses k < 1) at each prime; no primality
+    test runs here."""
     n = n_fact.value
     if n_fact.factors != ((n, 1),) and n_fact.odd_semiprime() is None:
         raise NotAdmissibleModulus(
-            f"n = {n} is neither prime nor a distinct-odd-prime semiprime"
+            f"n = {digits(n)} is neither prime nor a distinct-odd-prime semiprime"
         )
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) > 1")
+        raise NotCoprime(f"gcd({a}, {digits(n)}) > 1")
     for p in n_fact.primes():
         require_admissible(a, p, k)
     # n = pq = 1 mod 2^k exactly when nu_2(n - 1) >= k.

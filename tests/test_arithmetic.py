@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -266,10 +268,12 @@ class TestOddSemiprime:
             assert factorize(n).odd_semiprime() is None
 
     def test_hand_built_needs_two_odd_increasing_primes(self):
-        # A Factorization built by hand is not checked, so the shape itself
-        # must ask for 2 < p < q.
-        for factors in (((7, 1), (7, 1)), ((7, 1), (5, 1)), ((2, 1), (3, 1))):
-            assert Factorization(factors).odd_semiprime() is None
+        # A repeated or decreasing prime is refused when built, so p < q
+        # holds and the shape itself asks only for an odd p.
+        for factors in (((7, 1), (7, 1)), ((7, 1), (5, 1))):
+            with pytest.raises(InvalidInput):
+                Factorization(factors)
+        assert Factorization(((2, 1), (3, 1))).odd_semiprime() is None
         assert Factorization(((5, 1), (7, 1))).odd_semiprime() == (5, 7)
 
     def test_matches_definition(self):
@@ -282,6 +286,80 @@ class TestOddSemiprime:
             assert factorize(n).odd_semiprime() == (
                 expected[0] if expected else None
             ), n
+
+
+SMALL_PRIMES = [p for p in range(2, 200) if is_prime(p)]
+
+
+class TestFactorizationBuiltByHand:
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            (((15, 1),), "strictly increasing primes"),
+            (((5, 1), (3, 1)), "strictly increasing primes"),
+            (((3, 0), (5, 1)), "exponents must be positive"),
+            (((7, 1), (7, 1)), "strictly increasing primes"),
+            (((4, 1), (9, 1)), "strictly increasing primes"),
+            (((1, 1),), "strictly increasing primes"),
+            (((5, -1),), "exponents must be positive"),
+            (((5, 1.0),), "exponents must be positive"),
+            (((5.0, 1),), "strictly increasing primes"),
+            (((5, 1, 1),), "strictly increasing primes"),
+            ([[5, 1]], "strictly increasing primes"),
+            ((5,), "strictly increasing primes"),
+            (15, "strictly increasing primes"),
+            (None, "strictly increasing primes"),
+        ],
+    )
+    def test_malformed_refused_when_built(self, factors, message):
+        with pytest.raises(InvalidInput, match=message):
+            Factorization(factors)
+        with pytest.raises(InvalidInput, match=message):
+            Factorization(factors=factors)
+
+    def test_value_is_a_stored_field(self):
+        fact = Factorization([(3, 2), (5, 1)])
+        assert Factorization._fields == ("factors", "value")
+        assert fact == Factorization(((3, 2), (5, 1))) == factorize(45)
+        assert fact.factors == ((3, 2), (5, 1)) and fact.value == 45
+        assert Factorization(()).value == 1 == factorize(1).value
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4)),
+            max_size=5,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    def test_round_trips_stay_checked(self, pairs):
+        fs = tuple(sorted(pairs))
+        fact = Factorization(fs)
+        assert fact == factorize(fact.value)
+        copies = [copy.copy(fact), copy.deepcopy(fact), fact._make(fact)]
+        copies += [pickle.loads(pickle.dumps(fact, proto)) for proto in range(6)]
+        assert all(type(c) is Factorization and c == fact for c in copies)
+        # _replace recomputes value from the new factors, and refuses a
+        # malformed list as the constructor does.
+        if fs:
+            smaller = fact._replace(factors=fs[:-1])
+            assert smaller == factorize(fact.value // fs[-1][0] ** fs[-1][1])
+            with pytest.raises(InvalidInput):
+                fact._replace(factors=fs + fs[:1])
+        assert fact._replace(value=fact.value + 2) == fact
+        with pytest.raises(InvalidInput):
+            fact._make((((15, 1),), 15))
+
+    def test_no_copy_skips_the_check(self):
+        forged = tuple.__new__(Factorization, (((15, 1),), 15))
+        for rebuild in (
+            copy.copy,
+            copy.deepcopy,
+            lambda f: f._replace(),
+            lambda f: pickle.loads(pickle.dumps(f)),
+            lambda f: pickle.loads(pickle.dumps(f, 0)),
+        ):
+            with pytest.raises(InvalidInput):
+                rebuild(forged)
 
 
 class TestTrialDivision:

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from collections import Counter
 
 import pytest
 
@@ -99,6 +100,17 @@ class TestFactorOracle:
     def test_bogus_known_factorization_rejected(self):
         with pytest.raises(InvalidInput):
             FactorOracle(known=[Factorization(((4, 1), (9, 1)))])
+
+    @pytest.mark.parametrize("entry", [((5, 1), (13, 1)), [(5, 1)], 65, None])
+    def test_known_entry_that_is_no_factorization_rejected(self, entry):
+        with pytest.raises(InvalidInput, match="Factorization entries"):
+            FactorOracle(known=[entry])
+
+    def test_refusal_names_the_size_of_a_modulus_too_long_to_print(self):
+        # Python refuses to print an int of more than 4300 digits, so the
+        # refusal names 7^10000's size rather than its 8451 digits.
+        with pytest.raises(NotCoprime, match=r"gcd\(0, <28074-bit integer>\)"):
+            FactorOracle().crs_query(0, 7**10000, 1)
 
     def test_level_1_at_even_n(self):
         # Level 1 reads the Jacobi symbol of n's odd part, 35 here, since
@@ -389,6 +401,34 @@ class TestStats:
         for t in threads:
             t.join()
         assert oracle.stats.calls_total == 1600
+
+    def test_counting_lock_keeps_both_counts(self):
+        # The first read of a count waits up to 50 ms for another thread to
+        # write one.  Under the lock no other thread can, and both counts
+        # land; without it the second thread's count is overwritten.
+        entered, written = threading.Event(), threading.Event()
+
+        class StallingCounter(Counter):
+            def __getitem__(self, k):
+                count = super().__getitem__(k)
+                if not entered.is_set():
+                    entered.set()
+                    written.wait(0.05)
+                return count
+
+            def __setitem__(self, k, count):
+                super().__setitem__(k, count)
+                written.set()
+
+        oracle = FactorOracle()
+        oracle.stats.calls_by_k = StallingCounter()
+        first = threading.Thread(target=oracle.crs_query, args=(2, 15, 1))
+        first.start()
+        assert entered.wait(5)
+        oracle.crs_query(2, 15, 1)
+        first.join(5)
+        assert not first.is_alive()
+        assert oracle.stats.calls_total == 2
 
 
 class TestThreeWayAgreement:

@@ -148,6 +148,55 @@ def test_star_import_binds_no_module():
     assert modules == []
 
 
+# Hand-built factor lists of int pairs, exponents at most 10^4: half are
+# prime-valid, so that they reach the routes, and half are any int pairs.
+PRIMES = st.sampled_from([2, 3, 5, 7, 13, 17, 2**61 - 1, 2**64 - 59])
+FACTOR_LISTS = st.one_of(
+    st.lists(
+        st.tuples(PRIMES, st.integers(1, 10**4)),
+        max_size=3,
+        unique_by=lambda pair: pair[0],
+    ).map(sorted),
+    st.lists(st.tuples(ANY, edgy(st.integers(max_value=10**4))), max_size=4),
+)
+
+
+def _query_known(factors, a, k):
+    # Each oracle in turn, as k varies, seeded with the factorization.
+    fact = residuo.Factorization(factors)
+    oracle = (FactorOracle, DefinitionOracle, ZolotarevOracle)[k % 3](known=[fact])
+    return oracle.crs_query(a, fact.value, k)
+
+
+# name -> call of a hand-built factor list and the integers it is queried at.
+HAND_BUILT = {
+    "Factorization": lambda factors, a, k: residuo.Factorization(factors),
+    "known": lambda factors, a, k: FactorOracle(known=[factors]),
+    "known_crs_query": _query_known,
+    "symbol_composite": lambda factors, a, k: residuo.symbol_composite(
+        a, residuo.Factorization(factors), k
+    ),
+    "symbol_definition": lambda factors, a, k: residuo.symbol_definition(
+        a, residuo.Factorization(factors), k
+    ),
+    "zolotarev_symbol": lambda factors, a, k: residuo.zolotarev_symbol(
+        a, residuo.Factorization(factors), k
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factors=FACTOR_LISTS, a=ANY, k=edgy(st.integers(-10, 10)))
+def test_hand_built_factorization_returns_or_raises_residuo_error(
+    name, factors, a, k
+):
+    try:
+        HAND_BUILT[name](factors, a, k)
+    except ResiduoError:
+        pass
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())

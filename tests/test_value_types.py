@@ -19,7 +19,7 @@ CASES = [
         Factorization,
         (((3, 1),),),
         {"factors": ((3, 1),)},
-        "Factorization(factors=((3, 1),))",
+        "Factorization(factors=((3, 1),), value=3)",
         None,
     ),
     (

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from residuo.arithmetic import Factorization, factorize, is_prime, valuation
+from residuo.arithmetic import factorize, is_prime, valuation
 from residuo.errors import (
     NotAdmissibleModulus,
     NotAPermutation,
@@ -263,9 +263,10 @@ class TestZolotarevSemiprime:
             zolotarev_semiprime(2, 9, 5, 2)
 
     def test_square_factorization_refused_as_by_the_oracle(self):
-        # 49 read as 7 * 7 is no distinct-prime semiprime, by hand or not.
+        # 49 is no distinct-prime semiprime; read by hand as 7 * 7 it is
+        # refused when built (TestFactorizationBuiltByHand).
         with pytest.raises(NotAdmissibleModulus):
-            zolotarev_symbol(2, Factorization(((7, 1), (7, 1))), 1)
+            zolotarev_symbol(2, factorize(49), 1)
         with pytest.raises(NotAdmissibleModulus):
             ZolotarevOracle().crs_query(2, 49, 1)
 
