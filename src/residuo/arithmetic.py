@@ -26,6 +26,7 @@ from .errors import (
     InvalidModulus,
     SearchSpaceTooLarge,
     UndefinedValuation,
+    digits,
 )
 
 # Miller-Rabin with these 13 bases is deterministic below this threshold.
@@ -137,7 +138,7 @@ def valuation(n, b):
     if n == 0:
         raise UndefinedValuation("valuation of 0 is undefined")
     if b < 2:
-        raise InvalidInput(f"valuation base must be >= 2, got {b}")
+        raise InvalidInput(f"valuation base must be >= 2, got {digits(b)}")
     if b == 2:
         return (n & -n).bit_length() - 1
     k = 0
@@ -153,7 +154,7 @@ def jacobi(a, n):
     Returns 0 exactly when gcd(a, n) > 1.
     """
     if n < 1 or n % 2 == 0:
-        raise InvalidModulus(f"Jacobi symbol needs odd n >= 1, got {n}")
+        raise InvalidModulus(f"Jacobi symbol needs odd n >= 1, got {digits(n)}")
     a %= n
     result = 1
     while a:
@@ -288,7 +289,7 @@ def primes_upto(bound):
     and keeps nothing. A bound above 2^22 raises SearchSpaceTooLarge.
     """
     if bound > _SIEVE_CEILING:
-        raise SearchSpaceTooLarge(f"bound = {bound} exceeds the sieve ceiling")
+        raise SearchSpaceTooLarge(f"bound = {digits(bound)} exceeds the sieve ceiling")
     if bound < 2:
         return []
     mask = _small_prime_mask() if bound < _SIEVE_LIMIT else _prime_mask(bound)
@@ -306,7 +307,7 @@ def trial_division(n, bound):
     is 1 or a prime.
     """
     if n < 1:
-        raise InvalidInput(f"n must be >= 1, got {n}")
+        raise InvalidInput(f"n must be >= 1, got {digits(n)}")
     found = []
     # Only primes up to top need a test: past sqrt(n) what is left is 1 or
     # a prime, and past bound nothing is stripped.
@@ -452,7 +453,7 @@ def factorize(n):
     Deterministic for a fixed n; intended for desk-scale inputs.
     """
     if n < 1:
-        raise InvalidInput(f"n must be >= 1, got {n}")
+        raise InvalidInput(f"n must be >= 1, got {digits(n)}")
     counts = {}
     found, rest = trial_division(n, min(n, 10_000))
     for p, e in found:

@@ -61,9 +61,9 @@ class SearchExhausted(ResiduoError):
 
 
 def digits(n):
-    """n in decimal for an error message, or its size where Python refuses
-    to print that many digits (past 4300 by default)."""
+    """n in decimal for an error message, or its sign and size where Python
+    refuses to print that many digits (past 4300 by default)."""
     try:
         return str(n)
     except ValueError:
-        return f"<{n.bit_length()}-bit integer>"
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"

@@ -15,17 +15,21 @@ residue mod `prime`.
 The routes differ only in how a well-posed query is evaluated, each one
 function `route(m, fact, k)` of m mod n, n's factorization and k: the
 factor oracle's `symbol_composite` (the reference: the Jacobi symbol of n's
-odd part at level 1, the Euler criterion at each prime above it), the
-definition oracle's `symbol_definition` (exhaustive solvability search per
-prime; the cross-check), and the Zolotarev oracle's `zolotarev_symbol`
-(permutation signs at prime and semiprime n).
+odd part at level 1, and at level 2 of an integer square m = s^2 the Jacobi
+symbol (s|n1), n1 the part of n at the primes 1 mod 4, since there
+m^((p-1)/4) = s^((p-1)/2) and elsewhere level 2 of a square is +1; the
+Euler criterion at each prime otherwise), the definition oracle's
+`symbol_definition` (exhaustive solvability search per prime; the
+cross-check), and the Zolotarev oracle's `zolotarev_symbol` (permutation
+signs at prime and semiprime n).
 
 A query whose factorization is cached reads it with one dict lookup, and
 its count costs one lock acquire and release around one `Counter` update.
-On a 52-bit odd semiprime whose primes are 1 mod 64, a factor-oracle query
-takes about 2.0 us at level 1, of which the Jacobi symbol is 0.4-0.9 us,
-and 4.4 us at level 2, of which the two Euler powers are 3.0 us; the count
-is about 0.25 us of each (2-vCPU Xeon, Python 3.11.7).
+On a 53-bit odd semiprime whose primes are 1 mod 4, a factor-oracle query
+takes about 1.4 us at level 1, and at level 2 1.6-1.9 us for Lemma L4's
+a^2 with a small, against 4.4 us for a square that is no integer square, of
+which the two Euler powers are about 3 us; the count is about 0.25 us of
+each (2-vCPU Xeon, Python 3.11.7).
 """
 
 import math
@@ -107,11 +111,11 @@ class CrsOracle:
 
     def crs_query(self, m, n, k):
         if k < 1:
-            raise InvalidInput(f"k must be >= 1, got {k}")
+            raise InvalidInput(f"k must be >= 1, got {digits(k)}")
         if n < 2:
-            raise InvalidInput(f"n must be >= 2, got {n}")
+            raise InvalidInput(f"n must be >= 2, got {digits(n)}")
         if math.gcd(m, n) != 1:
-            raise NotCoprime(f"gcd({m}, {digits(n)}) > 1")
+            raise NotCoprime(f"gcd({digits(m)}, {digits(n)}) > 1")
         # Counted before n's factorization is read, so a query whose n
         # fails to factorize still counts.
         self._lock.acquire()

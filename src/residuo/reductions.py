@@ -22,7 +22,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .arithmetic import jacobi, primes_upto, trial_division, valuation
-from .errors import InvalidInput, SearchExhausted
+from .errors import InvalidInput, SearchExhausted, digits
 from .oracle import ZolotarevOracle
 from .symbols import power_residues
 
@@ -93,7 +93,7 @@ def wedeniwski_bound(N):
     """ERH bound on the least quadratic nonresidue:
     1.5*(ln N)^2 - 8.8*ln N + 13, natural logarithm, double precision."""
     if N < 3:
-        raise InvalidInput(f"N must be >= 3, got {N}")
+        raise InvalidInput(f"N must be >= 3, got {digits(N)}")
     log_n = math.log(N)
     return 1.5 * log_n * log_n - 8.8 * log_n + 13
 
@@ -146,11 +146,13 @@ def two_squares_oracle(
     certifies unsolvability.
     """
     if N < 1:
-        raise InvalidInput(f"N must be >= 1, got {N}")
+        raise InvalidInput(f"N must be >= 1, got {digits(N)}")
     if mode not in ("deterministic", "probabilistic"):
         raise InvalidInput(f"unknown mode {mode!r}")
     if mode == "probabilistic" and trials < 1:
-        raise InvalidInput(f"probabilistic mode needs trials >= 1, got {trials}")
+        raise InvalidInput(
+            f"probabilistic mode needs trials >= 1, got {digits(trials)}"
+        )
     method = "oracle_" + mode
     candidates = candidate_prime_set(N)
     found, rest = trial_division(N, max(candidates, default=1))
@@ -244,11 +246,13 @@ def recover_low_bits(N, v_small, v_large):
     _require_odd(N)
     if v_small > v_large or v_small < 1:
         raise InvalidInput(
-            f"need 1 <= v_small <= v_large, got {v_small}, {v_large}"
+            f"need 1 <= v_small <= v_large, got {digits(v_small)}, {digits(v_large)}"
         )
     if v_large >= N.bit_length():
         # nu_2(q-1) < log2 q <= log2 N for every factor q of N.
-        raise InvalidInput(f"v_large = {v_large} is too large for N = {N}")
+        raise InvalidInput(
+            f"v_large = {digits(v_large)} is too large for N = {digits(N)}"
+        )
     m = v_large + 1
     modulus = 1 << m
     q_bits = (1 + (1 << v_large)) % modulus
@@ -266,7 +270,7 @@ def qrp_decide(N, a, oracle):
     p, q = _odd_semiprime(N, oracle, a)
     if valuation(p - 1, 2) == valuation(q - 1, 2):
         raise InvalidInput(
-            f"Theorem T4 needs the factors of N = {N} to have distinct "
+            f"Theorem T4 needs the factors of N = {digits(N)} to have distinct "
             "2-adic valuations of p-1 and q-1"
         )
     v = valuation(N - 1, 2)
@@ -277,7 +281,7 @@ def qrp_decide(N, a, oracle):
 def qrp_decide_c2(N, a, oracle):
     """Squareness of a mod N for N = 3 mod 4 by one CRS query at level 2."""
     if N % 4 != 3:
-        raise InvalidInput(f"N must be 3 mod 4, got {N}")
+        raise InvalidInput(f"N must be 3 mod 4, got {digits(N)}")
     _odd_semiprime(N, oracle, a)
     s = oracle.crs_query(a * a % N, N, 2)
     return QrpVerdict(s == 1, "corollary_c2")
@@ -297,7 +301,7 @@ def qrp_bruteforce(N, a):
 
 def _require_odd(N):
     if N < 3 or N % 2 == 0:
-        raise InvalidInput(f"N must be odd and >= 3, got {N}")
+        raise InvalidInput(f"N must be odd and >= 3, got {digits(N)}")
 
 
 def _odd_semiprime(N, oracle, a=None):
@@ -307,10 +311,10 @@ def _odd_semiprime(N, oracle, a=None):
     # `a`, a Jacobi symbol (a|N) != +1.
     _require_odd(N)
     if a is not None and jacobi(a % N, N) != 1:
-        raise InvalidInput(f"Jacobi symbol ({a}|{N}) must be +1")
+        raise InvalidInput(f"Jacobi symbol ({digits(a)}|{digits(N)}) must be +1")
     pq = oracle.factorization(N).odd_semiprime()
     if pq is None:
-        raise InvalidInput(f"N must be an odd semiprime, got {N}")
+        raise InvalidInput(f"N must be an odd semiprime, got {digits(N)}")
     return pq
 
 

@@ -4,10 +4,14 @@ Two prime-level evaluation routes are provided: exhaustive solvability
 search (the brute-force reference) and the Euler-type power criterion.  The
 composite symbol is the product over prime factors with multiplicity; the
 Euler route's level 1 is the Jacobi symbol of n's odd part, one reciprocity
-run in place of one power per prime.  Above level 1 each prime costs one
-power and about 0.1 us besides, and `symbol_composite` adds about 0.5 us
-per call for n's value, its gcd with a and the loop (2-vCPU Xeon, Python
-3.11.7).
+run in place of one power per prime.  Its level 2 at an integer square
+a = s^2 mod n is one Jacobi symbol too, (s|n1) for n1 the part of n at the
+primes 1 mod 4: there (s^2)^((p-1)/4) = s^((p-1)/2), and at 2 and at the
+primes 3 mod 4 level 2 reads a lower level, where a square is +1.  That
+makes Lemma L4's (a^2|N)_4, a below sqrt(N), as cheap as its (a|N)_2.
+Every other query costs one power per prime and about 0.1 us besides, and
+`symbol_composite` adds about 0.5 us per call for its gcd and the loop
+(2-vCPU Xeon, Python 3.11.7).
 
 The residue sets behind the definition route are cached byte masks, built
 by the shape of n (see `power_residues`): at an odd prime, found by a
@@ -101,9 +105,9 @@ def power_residues(n, k, units_only):
     Only the last two factorize n, and neither factorizes an odd prime.
     """
     if n < 1:
-        raise InvalidInput(f"n must be >= 1, got {n}")
+        raise InvalidInput(f"n must be >= 1, got {digits(n)}")
     if k < 0:
-        raise InvalidInput(f"k must be >= 0, got {k}")
+        raise InvalidInput(f"k must be >= 0, got {digits(k)}")
     if n > ENUMERATION_LIMIT:
         raise SearchSpaceTooLarge(f"n = {digits(n)} exceeds enumeration limit")
     if k > n.bit_length():
@@ -198,7 +202,7 @@ def symbol_prime_definition(a, p, k):
     """
     mask = power_residues(p, k, True)
     if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
+        raise NotCoprime(f"p = {digits(p)} divides a = {digits(a)}")
     return 1 if mask[a % p] else -1
 
 
@@ -207,12 +211,12 @@ def require_admissible(a, p, k):
     enumeration; the error names the lowest level at which a is not a
     2^level-th power residue mod p.  A k < 1 is refused before any mask."""
     if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     if symbol_prime_definition(a, p, k - 1) != 1:
         # Level 0 is -1 only for a non-unit a of a composite p.
         level = next(j for j in range(k) if symbol_prime_definition(a, p, j) != 1)
         raise PreconditionViolated(
-            f"(a|{p}) at level 2^{level} is -1", prime=p, level=level
+            f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
         )
 
 
@@ -246,20 +250,20 @@ def symbol_prime_checked(a, p, k):
         if r == p - 1 and k <= v:
             return -1
     if p < 1:
-        raise InvalidInput(f"p must be >= 1, got {p}")
+        raise InvalidInput(f"p must be >= 1, got {digits(p)}")
     if a % p == 0:
-        raise NotCoprime(f"p = {p} divides a = {a}")
+        raise NotCoprime(f"p = {digits(p)} divides a = {digits(a)}")
     if k == 0:
         return 1
     if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     # Here k >= 1 and p >= 2 (p = 1 divides every a), so the power above
     # ran and answered neither +1 nor -1.
     level = next((j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1), None)
     if level is None:
-        raise InvalidInput(f"p = {p} is not prime")
+        raise InvalidInput(f"p = {digits(p)} is not prime")
     raise PreconditionViolated(
-        f"(a|{p}) at level 2^{level} is -1", prime=p, level=level
+        f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
     )
 
 
@@ -270,14 +274,28 @@ def symbol_composite(a, n_fact: Factorization, k):
     Level 1 has no precondition at a unit, and there the product of the
     Euler criteria at the odd primes is the Jacobi symbol of n's odd part
     (the factor 2 gives +1), so it is read by reciprocity with no power.
-    Levels k >= 2 evaluate `symbol_prime_checked` at each prime."""
+    Level 2 of an integer square, a mod n = s^2, is the Jacobi symbol
+    (s|n1), n1 the product of the p^e of n with p = 1 mod 4: at such p,
+    (s^2)^((p-1)/4) = s^((p-1)/2) = (s|p), and at p = 2 and p = 3 mod 4
+    level 2 equals a lower level, where a square is +1.  A unit square
+    meets every precondition, so no refusal is skipped.  Every other query
+    evaluates `symbol_prime_checked` at each prime."""
     n = n_fact.value
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {digits(n)}) > 1")
+        raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
     if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     if k == 1:
         return jacobi(a, n // (n & -n))
+    if k == 2:
+        m = a % n
+        s = math.isqrt(m)
+        if s * s == m:
+            n1 = 1
+            for p, e in n_fact.factors:
+                if p & 3 == 1:
+                    n1 *= p**e
+            return jacobi(s, n1)
     result = 1
     for p, e in n_fact.factors:
         # Checked at even multiplicity too: the precondition must hold there
@@ -293,7 +311,7 @@ def symbol_definition(a, n_fact: Factorization, k):
     multiplicity, each prime-level symbol by exhaustive solvability search;
     the independent cross-check of `symbol_composite`."""
     if math.gcd(a, n_fact.value) != 1:
-        raise NotCoprime(f"gcd({a}, {digits(n_fact.value)}) > 1")
+        raise NotCoprime(f"gcd({digits(a)}, {digits(n_fact.value)}) > 1")
     result = 1
     for p, e in n_fact.factors:
         # Checked at even multiplicity too, as symbol_composite does.

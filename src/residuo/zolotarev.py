@@ -11,7 +11,7 @@ import math
 from itertools import compress
 from typing import NamedTuple
 
-from .arithmetic import Factorization, factorize, is_prime, valuation
+from .arithmetic import Factorization, factorize, valuation
 from .errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -47,7 +47,8 @@ def permutation_sign(perm: PermutationTable):
     try:
         nxt = [pos[y] for y in image]
     except KeyError as exc:
-        raise NotAPermutation(f"image value {exc.args[0]} not in domain") from None
+        value = digits(exc.args[0])
+        raise NotAPermutation(f"image value {value} not in domain") from None
     visited = bytearray(n)
     cycles = 0
     for i in range(n):
@@ -67,7 +68,7 @@ def multiplication_permutation(a, rset: ResidueClassSet):
     """The table x -> a*x mod n over rset.members, n = rset.modulus."""
     n = rset.modulus
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) > 1")
+        raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
     members = rset.members
     mset = frozenset(members)
     image = []
@@ -75,7 +76,8 @@ def multiplication_permutation(a, rset: ResidueClassSet):
         y = a * x % n
         if y not in mset:
             raise NotClosedUnderAction(
-                f"{a}*{x} = {y} mod {n} leaves the set (violated symbol precondition?)"
+                f"{digits(a)}*{x} = {y} mod {n} leaves the set"
+                " (violated symbol precondition?)"
             )
         image.append(y)
     return PermutationTable(members, tuple(image))
@@ -90,7 +92,7 @@ def restricted_sign(a, n, k, units_only):
     a unit a maps it onto itself exactly when a is a member, which is
     checked once on the cached mask before the walk."""
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) > 1")
+        raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
     members = power_residues(n, k, units_only)
     a %= n
     if not members[a]:
@@ -126,7 +128,7 @@ def zolotarev_symbol(a, n_fact: Factorization, k):
             f"n = {digits(n)} is neither prime nor a distinct-odd-prime semiprime"
         )
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {digits(n)}) > 1")
+        raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
     for p in n_fact.primes():
         require_admissible(a, p, k)
     # n = pq = 1 mod 2^k exactly when nu_2(n - 1) >= k.
@@ -136,24 +138,30 @@ def zolotarev_symbol(a, n_fact: Factorization, k):
 
 def zolotarev_prime(a, p, k):
     """(a|p)_{2^k} as the sign of multiplication-by-a restricted to the
-    level-(k-1) unit residue set mod p; a p that is not prime is refused
-    with NotAdmissibleModulus."""
+    level-(k-1) unit residue set mod p; a p that `Factorization` finds not
+    prime is refused with NotAdmissibleModulus."""
     if p < 1:
-        raise InvalidInput(f"p must be >= 1, got {p}")
-    if not is_prime(p):
-        raise NotAdmissibleModulus(f"p = {p} is not prime")
-    return zolotarev_symbol(a, Factorization(((p, 1),)), k)
+        raise InvalidInput(f"p must be >= 1, got {digits(p)}")
+    try:
+        fact = Factorization(((p, 1),))
+    except InvalidInput:
+        raise NotAdmissibleModulus(f"p = {digits(p)} is not prime") from None
+    return zolotarev_symbol(a, fact, k)
 
 
 def zolotarev_semiprime(m, p, q, k):
     """(m|pq)_{2^k} as a restricted permutation sign: over the full
     level-(k-1) residue set when N = 1 mod 2^k, over the unit subgroup
     otherwise."""
-    if p == q or p == 2 or q == 2 or not is_prime(p) or not is_prime(q):
+    try:
+        fact = Factorization(((min(p, q), 1), (max(p, q), 1)))
+    except InvalidInput:
+        fact = None
+    if fact is None or 2 in (p, q):
         raise NotAdmissibleModulus(
-            f"need distinct odd primes, got p = {p}, q = {q}"
+            f"need distinct odd primes, got p = {digits(p)}, q = {digits(q)}"
         )
-    return zolotarev_symbol(m, Factorization(((min(p, q), 1), (max(p, q), 1))), k)
+    return zolotarev_symbol(m, fact, k)
 
 
 def find_tripleprime_counterexample(limit):

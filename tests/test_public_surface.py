@@ -14,13 +14,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import residuo
+import residuo.symbols
 from residuo import (
     DefinitionOracle,
     FactorOracle,
     PermutationTable,
     ZolotarevOracle,
 )
-from residuo.errors import ResiduoError
+from residuo.errors import (
+    InvalidInput,
+    InvalidModulus,
+    NotAdmissibleModulus,
+    NotAPermutation,
+    NotClosedUnderAction,
+    NotCoprime,
+    ResiduoError,
+    SearchSpaceTooLarge,
+    digits,
+)
 
 
 def edgy(*wide):
@@ -207,3 +218,143 @@ def test_returns_or_raises_residuo_error(name, data):
         call(*args)
     except ResiduoError:
         pass
+
+
+# An int Python refuses to print (past 4300 digits): 7^10000 has 8451.
+BIG = 7**10000
+
+# name -> (call, the refusal it must raise).  Each passes BIG, or a value
+# built from it, to one refusal whose message names that value, so the
+# message must name its size instead.  Refusals that would first run a
+# power or a primality test at that size are left out.
+BIG_REFUSALS = {
+    "valuation_base": (lambda: residuo.valuation(5, -BIG), InvalidInput),
+    "jacobi_even_n": (lambda: residuo.jacobi(1, 2 * BIG), InvalidModulus),
+    "primes_upto": (lambda: residuo.primes_upto(BIG), SearchSpaceTooLarge),
+    "trial_division": (lambda: residuo.trial_division(-BIG, 10), InvalidInput),
+    "factorize": (lambda: residuo.factorize(-BIG), InvalidInput),
+    "residue_set_n": (lambda: residuo.residue_set(-2 * BIG, 1, True), InvalidInput),
+    "power_residues_k": (lambda: residuo.power_residues(5, -BIG, True), InvalidInput),
+    "symbol_prime_definition_a": (
+        lambda: residuo.symbol_prime_definition(5 * BIG, 5, 1),
+        NotCoprime,
+    ),
+    "require_admissible_k": (
+        lambda: residuo.symbols.require_admissible(1, 5, -BIG),
+        InvalidInput,
+    ),
+    "symbol_prime_checked_p": (
+        lambda: residuo.symbol_prime_checked(1, -BIG, 1),
+        InvalidInput,
+    ),
+    "symbol_prime_checked_a": (
+        lambda: residuo.symbol_prime_checked(3 * BIG, 3, 1),
+        NotCoprime,
+    ),
+    "symbol_prime_checked_k": (
+        lambda: residuo.symbol_prime_checked(2, 5, -BIG),
+        InvalidInput,
+    ),
+    "symbol_composite_a": (
+        lambda: residuo.symbol_composite(3 * BIG, residuo.factorize(3), 2),
+        NotCoprime,
+    ),
+    "symbol_composite_k": (
+        lambda: residuo.symbol_composite(1, residuo.factorize(3), -BIG),
+        InvalidInput,
+    ),
+    "symbol_definition_a": (
+        lambda: residuo.symbol_definition(3 * BIG, residuo.factorize(3), 1),
+        NotCoprime,
+    ),
+    "crs_query_k": (lambda: FactorOracle().crs_query(1, 3, -BIG), InvalidInput),
+    "crs_query_n": (lambda: FactorOracle().crs_query(1, -BIG, 1), InvalidInput),
+    "crs_query_m": (lambda: FactorOracle().crs_query(3 * BIG, 3, 1), NotCoprime),
+    "wedeniwski_bound": (lambda: residuo.wedeniwski_bound(-BIG), InvalidInput),
+    "two_squares_oracle_n": (
+        lambda: residuo.two_squares_oracle(-BIG, FactorOracle()),
+        InvalidInput,
+    ),
+    "two_squares_oracle_trials": (
+        lambda: residuo.two_squares_oracle(5, FactorOracle(), "probabilistic", -BIG),
+        InvalidInput,
+    ),
+    "recover_low_bits_n": (lambda: residuo.recover_low_bits(-BIG, 1, 1), InvalidInput),
+    "recover_low_bits_v_small": (
+        lambda: residuo.recover_low_bits(15, -BIG, 1),
+        InvalidInput,
+    ),
+    "recover_low_bits_v_large": (
+        lambda: residuo.recover_low_bits(15, 1, BIG),
+        InvalidInput,
+    ),
+    "qrp_decide_even_n": (
+        lambda: residuo.qrp_decide(2 * BIG, 1, FactorOracle()),
+        InvalidInput,
+    ),
+    "qrp_decide_jacobi": (
+        # (7|15) = -1.
+        lambda: residuo.qrp_decide(15, 15 * BIG + 7, FactorOracle()),
+        InvalidInput,
+    ),
+    "qrp_decide_not_semiprime": (
+        # 3^10000 has 4772 digits, and its factorization is known.
+        lambda: residuo.qrp_decide(
+            3**10000, 1, FactorOracle(known=[residuo.Factorization(((3, 10000),))])
+        ),
+        InvalidInput,
+    ),
+    "qrp_decide_c2_n": (
+        lambda: residuo.qrp_decide_c2(BIG, 1, FactorOracle()),
+        InvalidInput,
+    ),
+    "permutation_sign_image": (
+        lambda: residuo.permutation_sign(PermutationTable((1, 2), (1, BIG))),
+        NotAPermutation,
+    ),
+    "multiplication_permutation_a": (
+        lambda: residuo.multiplication_permutation(
+            3 * BIG, residuo.residue_set(3, 1, True)
+        ),
+        NotCoprime,
+    ),
+    "multiplication_permutation_closure": (
+        # 3 is no square mod 7.
+        lambda: residuo.multiplication_permutation(
+            7 * BIG + 3, residuo.residue_set(7, 1, True)
+        ),
+        NotClosedUnderAction,
+    ),
+    "restricted_sign_a": (
+        lambda: residuo.restricted_sign(3 * BIG, 3, 1, True),
+        NotCoprime,
+    ),
+    "zolotarev_symbol_a": (
+        lambda: residuo.zolotarev_symbol(3 * BIG, residuo.factorize(3), 1),
+        NotCoprime,
+    ),
+    "zolotarev_prime_p": (lambda: residuo.zolotarev_prime(1, -BIG, 1), InvalidInput),
+    "zolotarev_prime_composite": (
+        lambda: residuo.zolotarev_prime(1, BIG, 1),
+        NotAdmissibleModulus,
+    ),
+    "zolotarev_semiprime_p": (
+        lambda: residuo.zolotarev_semiprime(1, BIG, 5, 1),
+        NotAdmissibleModulus,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_REFUSALS))
+def test_refusal_names_the_size_of_an_int_too_long_to_print(name):
+    call, error = BIG_REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert "-bit integer>" in str(info.value)
+
+
+def test_a_size_keeps_its_sign():
+    # "n must be >= 1, got ..." must not read as a large positive n.
+    assert digits(BIG) == "<28074-bit integer>"
+    assert digits(-BIG) == "-<28074-bit integer>"
+    assert digits(-12) == "-12"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import residuo.symbols
-from residuo.arithmetic import factorize, is_prime, jacobi, valuation
+from residuo.arithmetic import Factorization, factorize, is_prime, jacobi, valuation
 from residuo.errors import (
     InvalidInput,
     NotAdmissibleModulus,
@@ -29,6 +29,7 @@ from residuo.symbols import (
     require_admissible,
     residue_set,
     symbol_composite,
+    symbol_definition,
     symbol_prime_checked,
     symbol_prime_definition,
 )
@@ -238,6 +239,97 @@ class TestComposite:
                 assert symbol_composite(a + 91, fact, 1) == symbol_composite(
                     a, fact, 1
                 )
+
+
+def _outcome(route, *args):
+    # The answer, or the error's type and message.
+    try:
+        return route(*args)
+    except (NotCoprime, PreconditionViolated, InvalidInput) as exc:
+        return type(exc), str(exc)
+
+
+def _euler_product(a, fact, k):
+    # The Euler criterion at each prime, with multiplicity: the reference
+    # for the level-2 square path.
+    result = 1
+    for p, e in fact.factors:
+        sign = symbol_prime_checked(a, p, k)
+        if e & 1:
+            result *= sign
+    return result
+
+
+def _random_prime(rng, bits, residue):
+    # A prime of `bits` bits that is `residue` mod 4.
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1)
+        p += (residue - p) % 4
+        if is_prime(p):
+            return p
+
+
+class TestSquareAtLevel2:
+    # Level 2 of a = s^2 mod n is read as (s|n1), n1 the part of n at the
+    # primes 1 mod 4; it must equal the per-prime Euler product and the
+    # definition route, refusals included.
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.one_of(
+            st.integers(2, 3000),
+            st.sampled_from([2, 4, 8, 64, 9, 27, 25, 125, 49, 13**2, 5 * 13 * 17]),
+            st.tuples(
+                st.sampled_from([2, 3, 5, 7, 13, 17]), st.integers(1, 5)
+            ).map(lambda pe: pe[0] ** pe[1]),
+        ),
+        s=st.integers(0, 200),
+        shift=st.integers(-3, 3),
+    )
+    def test_matches_per_prime_and_definition(self, n, s, shift):
+        # a >= n and negative a are reduced to the same square mod n.
+        fact = factorize(n)
+        a = s * s + shift * n
+        expected = _outcome(_euler_product, a, fact, 2)
+        if isinstance(expected, tuple):
+            assert expected[0] is NotCoprime
+            expected = (NotCoprime, f"gcd({a}, {n}) > 1")
+        assert _outcome(symbol_composite, a, fact, 2) == expected
+        assert _outcome(symbol_definition, a, fact, 2) == expected
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("residues", [(1, 1), (1, 3), (3, 3)])
+    def test_matches_pow_on_large_semiprimes(self, bits, residues):
+        # n = pq of 128-512 bits, built with known primes: the answer is
+        # the Euler criterion read with pow at each prime, (p-1)/4 at
+        # p = 1 mod 4 and (p-1)/2 at p = 3 mod 4.
+        rng = random.Random(bits * 10 + residues[1])
+        p = _random_prime(rng, bits, residues[0])
+        q = _random_prime(rng, bits, residues[1])
+        p, q = sorted((p, q))
+        fact = Factorization(((p, 1), (q, 1)))
+        n = fact.value
+        for _ in range(20):
+            s = rng.randrange(2, 1 << rng.choice([16, bits - 1]))
+            expected = 1
+            for r in (p, q):
+                x = pow(s * s, (r - 1) >> (2 if r % 4 == 1 else 1), r)
+                assert x in (1, r - 1)
+                expected *= 1 if x == 1 else -1
+            for a in (s * s, s * s + n, s * s - 2 * n):
+                assert symbol_composite(a, fact, 2) == expected
+                assert _euler_product(a, fact, 2) == expected
+
+    def test_not_coprime_refused_first(self):
+        # s shares a prime with n: the gcd check refuses first, naming a
+        # and n as the definition route does.
+        for a, n in [(9, 15), (25, 65), (13**2, 13 * 17), (4, 12), (9 + 21, 21)]:
+            fact = factorize(n)
+            message = f"gcd({a}, {n}) > 1"
+            assert _outcome(symbol_composite, a, fact, 2) == (NotCoprime, message)
+            assert _outcome(symbol_definition, a, fact, 2) == (NotCoprime, message)
+            with pytest.raises(NotCoprime):
+                _euler_product(a, fact, 2)
 
 
 class TestStabilized:
