@@ -206,20 +206,6 @@ def symbol_prime_definition(a, p, k):
     return 1 if mask[a % p] else -1
 
 
-def require_admissible(a, p, k):
-    """Raise PreconditionViolated unless (a|p)_{2^(k-1)} = +1, decided by
-    enumeration; the error names the lowest level at which a is not a
-    2^level-th power residue mod p.  A k < 1 is refused before any mask."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
-    if symbol_prime_definition(a, p, k - 1) != 1:
-        # Level 0 is -1 only for a non-unit a of a composite p.
-        level = next(j for j in range(k) if symbol_prime_definition(a, p, j) != 1)
-        raise PreconditionViolated(
-            f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
-        )
-
-
 def symbol_prime_checked(a, p, k):
     """(a|p)_{2^k} by the Euler-type criterion, with the level-(k-1)
     precondition verified; the one Euler route of the package.
@@ -309,13 +295,22 @@ def symbol_composite(a, n_fact: Factorization, k):
 def symbol_definition(a, n_fact: Factorization, k):
     """(a|n)_{2^k} as the product over the prime factors of n with
     multiplicity, each prime-level symbol by exhaustive solvability search;
-    the independent cross-check of `symbol_composite`."""
+    the independent cross-check of `symbol_composite`.  After the gcd check
+    k < 1 is refused once, before any mask is read (n = 1 too); then each
+    prime in turn whose level-(k-1) symbol is -1 raises PreconditionViolated
+    naming the lowest level at which a is not a 2^level-th power residue."""
     if math.gcd(a, n_fact.value) != 1:
         raise NotCoprime(f"gcd({digits(a)}, {digits(n_fact.value)}) > 1")
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     result = 1
     for p, e in n_fact.factors:
         # Checked at even multiplicity too, as symbol_composite does.
-        require_admissible(a, p, k)
+        if symbol_prime_definition(a, p, k - 1) != 1:
+            level = next(j for j in range(k) if symbol_prime_definition(a, p, j) != 1)
+            raise PreconditionViolated(
+                f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
+            )
         if e % 2 == 1:
             result *= symbol_prime_definition(a, p, k)
     return result

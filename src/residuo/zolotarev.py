@@ -20,12 +20,7 @@ from .errors import (
     NotCoprime,
     digits,
 )
-from .symbols import (
-    ResidueClassSet,
-    power_residues,
-    require_admissible,
-    symbol_definition,
-)
+from .symbols import ResidueClassSet, power_residues, symbol_definition
 
 
 class PermutationTable(NamedTuple):
@@ -119,9 +114,14 @@ def restricted_sign(a, n, k, units_only):
 def zolotarev_symbol(a, n_fact: Factorization, k):
     """(a|n)_{2^k} for a unit a and n prime or a distinct-odd-prime
     semiprime, from its factorization, prime-valid since it was built: the
-    zolotarev_prime sign, or at n = pq the zolotarev_semiprime one, after
-    `require_admissible` (which refuses k < 1) at each prime; no primality
-    test runs here."""
+    zolotarev_prime sign, or at n = pq the zolotarev_semiprime one; no
+    primality test runs here.  After the shape and gcd checks, k < 1 is
+    refused before any mask is read.  Admissibility is decided once, by
+    `restricted_sign`'s test of a against the level-(k-1) mask it walks
+    (by the CRT, a member exactly when that symbol is +1 at every prime);
+    on a miss `symbol_definition` raises the PreconditionViolated naming
+    the first failing prime and level.  So a direct call above
+    `ENUMERATION_LIMIT` is refused by size first."""
     n = n_fact.value
     if n_fact.factors != ((n, 1),) and n_fact.odd_semiprime() is None:
         raise NotAdmissibleModulus(
@@ -129,11 +129,15 @@ def zolotarev_symbol(a, n_fact: Factorization, k):
         )
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
-    for p in n_fact.primes():
-        require_admissible(a, p, k)
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     # n = pq = 1 mod 2^k exactly when nu_2(n - 1) >= k.
     units_only = len(n_fact.factors) == 1 or valuation(n - 1, 2) < k
-    return restricted_sign(a, n, k - 1, units_only)
+    try:
+        return restricted_sign(a, n, k - 1, units_only)
+    except NotClosedUnderAction:
+        symbol_definition(a, n_fact, k)
+        raise
 
 
 def zolotarev_prime(a, p, k):

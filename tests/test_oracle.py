@@ -173,6 +173,12 @@ class TestZolotarevOracle:
         monkeypatch.setattr(oracle_module, "factorize", refuse)
         with pytest.raises(SearchSpaceTooLarge):
             ZolotarevOracle().crs_query(2, 10**6 + 3, 1)
+        # 11 is no square mod 1009, but a direct call at 1009 * 1013 is
+        # refused by size first too: its mask at n is past the limit.
+        fact = Factorization(((1009, 1), (1013, 1)))
+        expected = (SearchSpaceTooLarge, "n = 1022117 exceeds enumeration limit")
+        assert _refusal(zolotarev_symbol, 11, fact, 2) == expected
+        assert _refusal(ZolotarevOracle().crs_query, 11, fact.value, 2) == expected
 
     @pytest.mark.parametrize("n", [100_003, 786_433, 503_491])
     def test_answers_up_to_the_enumeration_limit(self, n):
@@ -223,6 +229,16 @@ class TestZolotarevPath:
                 assert oracle.crs_query(a, p, k) == symbol_prime_definition(a, p, k)
         assert keys
         assert all(level >= 1 for n, level, _ in keys if n == p)
+        # Admissibility is decided by the level-(k-1) mask the sign walks,
+        # so a warm answered query reads that mask and no other.  10403 =
+        # 101 * 103 is not 1 mod 8, so at k = 3 the set is the units'; 65
+        # is 1 mod 4, so at k = 2 it is the full one.
+        for n, k, units_only in ((10403, 3, True), (65, 2, False), (p, 3, True)):
+            a = pow(2, 1 << (k - 1), n)
+            expected = oracle.crs_query(a, n, k)
+            keys.clear()
+            assert oracle.crs_query(a, n, k) == expected
+            assert keys == [(n, k - 1, units_only)], (n, k)
 
 
 def _outcome(route, *args):
@@ -297,8 +313,11 @@ class TestOneContract:
         for module in (residuo.symbols, residuo.zolotarev):
             monkeypatch.setattr(module, "power_residues", no_mask)
         oracles = [cls() for cls in ALL_FACTORIES]
-        for m, n in sorted({(m, n) for m, n, _ in self.CASES}):
-            fact = factorize(n)
+        # n = 1 has no prime for a per-prime check to run at.
+        cases = [(1, 1, Factorization(()))] + [
+            (m, n, factorize(n)) for m, n in sorted({(m, n) for m, n, _ in self.CASES})
+        ]
+        for m, n, fact in cases:
             for k in (-1, 0):
                 bad_k = (InvalidInput, f"k must be >= 1, got {k}")
                 assert _refusal(symbol_composite, m, fact, k) == bad_k, (m, n, k)

@@ -239,10 +239,6 @@ BIG_REFUSALS = {
         lambda: residuo.symbol_prime_definition(5 * BIG, 5, 1),
         NotCoprime,
     ),
-    "require_admissible_k": (
-        lambda: residuo.symbols.require_admissible(1, 5, -BIG),
-        InvalidInput,
-    ),
     "symbol_prime_checked_p": (
         lambda: residuo.symbol_prime_checked(1, -BIG, 1),
         InvalidInput,
@@ -266,6 +262,10 @@ BIG_REFUSALS = {
     "symbol_definition_a": (
         lambda: residuo.symbol_definition(3 * BIG, residuo.factorize(3), 1),
         NotCoprime,
+    ),
+    "symbol_definition_k": (
+        lambda: residuo.symbol_definition(1, residuo.factorize(5), -BIG),
+        InvalidInput,
     ),
     "crs_query_k": (lambda: FactorOracle().crs_query(1, 3, -BIG), InvalidInput),
     "crs_query_n": (lambda: FactorOracle().crs_query(1, -BIG, 1), InvalidInput),
@@ -332,6 +332,10 @@ BIG_REFUSALS = {
     "zolotarev_symbol_a": (
         lambda: residuo.zolotarev_symbol(3 * BIG, residuo.factorize(3), 1),
         NotCoprime,
+    ),
+    "zolotarev_symbol_k": (
+        lambda: residuo.zolotarev_symbol(1, residuo.factorize(5), -BIG),
+        InvalidInput,
     ),
     "zolotarev_prime_p": (lambda: residuo.zolotarev_prime(1, -BIG, 1), InvalidInput),
     "zolotarev_prime_composite": (

@@ -26,7 +26,6 @@ from residuo.symbols import (
     ENUMERATION_LIMIT,
     MASK_BUDGET,
     power_residues,
-    require_admissible,
     residue_set,
     symbol_composite,
     symbol_definition,
@@ -71,7 +70,7 @@ class TestDefinition:
         "call",
         [
             lambda: symbol_prime_definition(3, 7, -1),
-            lambda: require_admissible(3, 7, 0),
+            lambda: symbol_definition(3, factorize(7), 0),
             lambda: symbol_prime_definition(3, 0, 1),
             lambda: symbol_prime_checked(3, 2, -1),
         ],
