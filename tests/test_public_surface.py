@@ -263,7 +263,9 @@ BIG_REFUSALS = {
         lambda: residuo.symbol_definition(3 * BIG, residuo.factorize(3), 1),
         NotCoprime,
     ),
-    "symbol_definition_k": (
+    # symbol_definition's own k >= 1 admissibility requirement, kept under
+    # the case id it had while a separate require_admissible checked it.
+    "require_admissible_k": (
         lambda: residuo.symbol_definition(1, residuo.factorize(5), -BIG),
         InvalidInput,
     ),
