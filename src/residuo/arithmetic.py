@@ -7,11 +7,13 @@ The primes below 2^16 come from one sieve, built on first use and then kept.
 the primes it needs at once, with one gcd against their product: the
 primorial of the primes below 2^j, for the least j that covers min(bound,
 sqrt(n)), each of the 17 built at most once. `factorize` splits what trial
-division leaves with Pollard's p - 1 before Brent's rho: stage 1 always,
-stage 2 on cofactors of 50 bits or more. Stage 1's exponent comes from the
-same sieve in 11 blocks, each built at most once; stage 2 reads its primes,
-those in (2^12, 2^16), from the same sieve as one table of
-baby-step/giant-step pairs, built at most once.
+division leaves with Pollard's p - 1, then Lenstra's elliptic curves, before
+Brent's rho: p - 1 stage 1 always; p - 1 stage 2 and the curves on
+cofactors of 50 bits or more. The p - 1 stage-1 exponent comes from the
+same sieve in 11 blocks, each built at most once. Both stage 2s read their
+primes from the same sieve as one table of baby-step/giant-step pairs per
+lower bound, built at most once: (2^12, 2^16) for p - 1 and (150, 2^16),
+read to 8000, for the curves.
 """
 
 import functools
@@ -64,10 +66,18 @@ _PM1_BITS = 12
 # as kD - j or kD + j, with 0 < j < D/2 coprime to D = _PM1_STEP.
 _PM1_STEP = 210
 
-# Stage 2 runs only on cofactors of at least this many bits: below it rho
-# splits what stage 2 would find in less time than stage 2 takes (measured
-# break-even over 40-64-bit semiprimes).
+# Stage 2 and the elliptic-curve split run only on cofactors of at least
+# this many bits: below it rho splits what either would find in less time
+# than it takes (measured break-even over 40-64-bit semiprimes, for each).
 _PM1_STAGE2_BITS = 50
+
+# The elliptic-curve split tries at most _ECM_CURVES curves, each with stage
+# 1 to _ECM_B1 and stage 2 over the primes in (_ECM_B1, _ECM_B2], both
+# bounds measured best over 50-64-bit semiprimes that p - 1 leaves whole.
+# Stage 2 reads the giant steps kD <= _ECM_B2 + D/2 of the p - 1 table.
+_ECM_CURVES = 40
+_ECM_B1 = 150
+_ECM_B2 = 8000
 
 # Primes below this bound come from the one cached sieve; above it,
 # `primes_upto` sieves afresh and `trial_division` steps odd d.
@@ -261,14 +271,15 @@ def _pm1_block(bits):
 
 
 @functools.cache
-def _pm1_stage2_table():
-    """The giant steps k0..k1 of the p - 1 split's stage 2, the baby steps j
-    in (0, D/2) coprime to D, and for each j a byte mask over the k that is
-    1 where kD - j or kD + j is a prime in (2^_PM1_BITS, _SIEVE_LIMIT). It
-    is sliced from the cached sieve, one stride per j: 24 masks of 293
-    bytes for D = 210."""
+def _pm1_stage2_table(bound):
+    """The stage-2 table shared by the p - 1 and elliptic-curve splits, for
+    the primes in (bound, _SIEVE_LIMIT), D/2 <= bound: the giant steps k0..k1,
+    the baby steps j in (0, D/2) coprime to D, and for each j a byte mask
+    over the k that is 1 where kD - j or kD + j is such a prime. It is
+    sliced from the cached sieve, one stride per j: 24 masks of 293 bytes
+    for D = 210 and bound = 2^12."""
     step, half = _PM1_STEP, _PM1_STEP // 2
-    lo = (1 << _PM1_BITS) + 1
+    lo = bound + 1
     k0, k1 = (lo + half) // step, (_SIEVE_LIMIT + half) // step
     # The primes of stage 2 alone, padded so every kD + j is an index.
     primes = bytes(lo) + _small_prime_mask()[lo:] + bytes(step)
@@ -378,9 +389,8 @@ def _pm1_stage2(b, n):
     at a prime r of n it is 0 when the order of b mod r divides kD - j or
     kD + j (Montgomery's pairing). One product over the table's pairs and
     one gcd thus test every stage-2 prime as that order: 4,670 pairs, one
-    multiplication each, for the 5,978 primes. A gcd of 1 or n gives
-    None."""
-    k0, k1, js, masks = _pm1_stage2_table()
+    multiplication each, for the 5,978 primes."""
+    table = k0, k1, _, _ = _pm1_stage2_table(1 << _PM1_BITS)
     # V_{i+1} = V_1 V_i - V_{i-1} from V_0 = 2: the baby steps up to
     # V_{D/2}, then V_D = V_{D/2}^2 - 2 and the giant steps V_kD.
     v1 = (b + pow(b, -1, n)) % n
@@ -391,7 +401,14 @@ def _pm1_stage2(b, n):
     giant = [2, vd]
     while len(giant) <= k1:
         giant.append((vd * giant[-1] - giant[-2]) % n)
-    del giant[:k0]
+    return _stage2_gcd(n, table, baby, giant[k0:])
+
+
+def _stage2_gcd(n, table, baby, giant):
+    """The gcd of n with the product of giant[k - k0] - baby[j] over the
+    table's pairs (k, j), when it is a proper factor; None when it is 1 or
+    n."""
+    _, _, js, masks = table
     acc = 1
     for j, mask in zip(js, masks):
         vj = baby[j]
@@ -399,6 +416,116 @@ def _pm1_stage2(b, n):
             acc = acc * (x - vj) % n
     g = math.gcd(acc, n)
     return g if 1 < g < n else None
+
+
+@functools.cache
+def _ecm_multiplier():
+    """Stage 1's scalar for the elliptic-curve split: the product of the
+    largest powers below _ECM_B1 of the primes below it."""
+    powers = []
+    for r in primes_upto(_ECM_B1 - 1):
+        q = r
+        while q * r < _ECM_B1:
+            q *= r
+        powers.append(q)
+    return math.prod(powers)
+
+
+def _xdbl(x, z, a24, n):
+    # 2P on By^2 = x^3 + Ax^2 + x in (X:Z), a24 = (A + 2)/4.
+    s, d = (x + z) ** 2, (x - z) ** 2
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(x1, z1, x2, z2, xd, zd, n):
+    # P1 + P2 in (X:Z), given P1 - P2 = (xd:zd).
+    u, v = (x1 - z1) * (x2 + z2), (x1 + z1) * (x2 - z2)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ecm_curve(n, sigma):
+    """One curve of the elliptic-curve split (Lenstra's ECM on Montgomery's
+    curves): a nontrivial factor of odd n, or None. Suyama's parametrization
+    by sigma >= 6 gives the curve, with a24 = (v - u)^3 (3u + v) / 16u^3v,
+    and the start point x = u^3/v^3, u = sigma^2 - 5, v = 4 sigma; both
+    divisions share one inverse, taken only after its gcd with n is 1.
+    Stage 1 multiplies the point by `_ecm_multiplier()` on Montgomery's
+    x-only ladder, and finds a factor when the point's order mod some prime
+    of n divides that scalar and mod some other prime does not. A stage 1
+    whose gcd is 1 hands its point to stage 2 (`_ecm_stage2`); a gcd of n
+    skips the curve."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    den = 16 * u**3 * v**4
+    g = math.gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    inv = pow(den, -1, n)
+    x1 = 16 * u**6 * v * inv % n
+    a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inv % n
+    # The ladder keeps (mP, (m + 1)P), whose difference is P = (x1:1).
+    x, z = x1, 1
+    xn, zn = _xdbl(x1, 1, a24, n)
+    for bit in bin(_ecm_multiplier())[3:]:
+        if bit == "1":
+            x, z = _xadd(x, z, xn, zn, x1, 1, n)
+            xn, zn = _xdbl(xn, zn, a24, n)
+        else:
+            xn, zn = _xadd(x, z, xn, zn, x1, 1, n)
+            x, z = _xdbl(x, z, a24, n)
+    g = math.gcd(z, n)
+    if g != 1:
+        return g if g < n else None
+    return _ecm_stage2(x, z, a24, n)
+
+
+def _ecm_stage2(x, z, a24, n):
+    """Stage 2 of one curve: a nontrivial factor of odd n, or None, given
+    stage 1's point Q = (x:z) with gcd(z, n) = 1. The points kDQ and jQ
+    have one x mod a prime r of n exactly when the order of Q mod r divides
+    kD - j or kD + j, so with every x normalized by one inverse
+    (Montgomery's trick, after its gcd), `_stage2_gcd` tests each prime of
+    the table up to _ECM_B2 as that order by one multiplication per
+    pair."""
+    table = k0, _, js, _ = _pm1_stage2_table(_ECM_B1)
+    # The odd multiples jQ up to D/2 (each from the one two below, 2Q and
+    # the one four below), then DQ = 2 (D/2)Q and the giant steps kDQ.
+    two = _xdbl(x, z, a24, n)
+    odd = [(x, z), _xadd(*two, x, z, x, z, n)]
+    while len(odd) <= _PM1_STEP // 4:
+        odd.append(_xadd(*odd[-1], *two, *odd[-2], n))
+    step = _xdbl(*odd[-1], a24, n)
+    giant = [(0, 0), step, _xdbl(*step, a24, n)]
+    while len(giant) <= (_ECM_B2 + _PM1_STEP // 2) // _PM1_STEP:
+        giant.append(_xadd(*giant[-1], *step, *giant[-2], n))
+    points = [odd[j // 2] for j in js] + giant[k0:]
+    prefix, acc = [], 1
+    for _, zp in points:
+        prefix.append(acc)
+        acc = acc * zp % n
+    g = math.gcd(acc, n)
+    if g != 1:
+        return g if g < n else None
+    inv = pow(acc, -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xp, zp = points[i]
+        xs[i] = xp * prefix[i] % n * inv % n
+        inv = inv * zp % n
+    return _stage2_gcd(n, table, dict(zip(js, xs)), xs[len(js) :])
+
+
+def _ecm_split(n):
+    """The elliptic-curve split of odd composite n of _PM1_STAGE2_BITS bits
+    or more: the first factor that one of _ECM_CURVES curves, sigma = 6, 7,
+    ..., finds; None below that size or when every curve finds none."""
+    if n.bit_length() < _PM1_STAGE2_BITS:
+        return None
+    for sigma in range(6, 6 + _ECM_CURVES):
+        g = _ecm_curve(n, sigma)
+        if g:
+            return g
+    return None
 
 
 def _rho_split(n, budget):
@@ -445,11 +572,13 @@ def factorize(n):
     Trial division strips the primes up to 10^4; every n below 10^8 ends
     there. Each composite cofactor left is split by Pollard's p - 1
     (`_pm1_split`: stage 1 to 2^12, then, on a cofactor of 50 bits or more,
-    stage 2 over the primes up to 2^16) and, when that finds nothing, by
-    Brent's rho. Rho raises FactorizationTimeout once the iterations it
-    charges for this n pass 10^7. It charges only the iterations that
-    multiply into its gcd product, not the advance loop between them, so it
-    has done about twice that many steps by then.
+    stage 2 over the primes up to 2^16); when that finds nothing, on a
+    cofactor of 50 bits or more, by at most 40 elliptic curves
+    (`_ecm_split`: stage 1 to 150, stage 2 to 8000); and when those find
+    nothing, by Brent's rho. Rho raises FactorizationTimeout once the
+    iterations it charges for this n pass 10^7. It charges only the
+    iterations that multiply into its gcd product, not the advance loop
+    between them, so it has done about twice that many steps by then.
     Deterministic for a fixed n; intended for desk-scale inputs.
     """
     if n < 1:
@@ -465,7 +594,7 @@ def factorize(n):
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _pm1_split(m) or _rho_split(m, budget)
+        d = _pm1_split(m) or _ecm_split(m) or _rho_split(m, budget)
         stack.append(d)
         stack.append(m // d)
     return _factorization(tuple(sorted(counts.items())), n)

@@ -305,9 +305,10 @@ def symbol_definition(a, n_fact: Factorization, k):
         raise InvalidInput(f"k must be >= 1, got {digits(k)}")
     result = 1
     for p, e in n_fact.factors:
-        # Checked at even multiplicity too, as symbol_composite does.
+        # Checked at even multiplicity too, as symbol_composite does.  Level
+        # 0 of a unit is +1, so the search for the failing level starts at 1.
         if symbol_prime_definition(a, p, k - 1) != 1:
-            level = next(j for j in range(k) if symbol_prime_definition(a, p, j) != 1)
+            level = next(j for j in range(1, k) if symbol_prime_definition(a, p, j) != 1)
             raise PreconditionViolated(
                 f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
             )

@@ -138,7 +138,8 @@ DEEP_P = 3 * 2**30 + 1
 # range below 2^16.
 STAGE2_P = 2 * 47 * 349 * 65521 + 1
 STAGE2_R = 4 * 5 * 11 * 149 * 65519 + 1
-STAGE2_PRIMES = {q for q in primes_upto(2**16) if q > 2**12}
+# Each stage-2 table's lower bound: the p - 1 split's and the curves'.
+TABLE_BOUNDS = (2**12, arithmetic._ECM_B1)
 
 
 class TestFactorize:
@@ -174,8 +175,10 @@ class TestFactorize:
 
     def test_rho_timeout(self, monkeypatch):
         # Both factors are safe primes, so the order of 2 has a prime factor
-        # near 2^31 at each and both p - 1 stages leave the split to rho.
-        # The refusal names the cofactor's size and the cap, not its digits.
+        # near 2^31 at each and both p - 1 stages leave the split to rho,
+        # with the curves held off. The refusal names the cofactor's size
+        # and the cap, not its digits.
+        monkeypatch.setattr(arithmetic, "_ECM_CURVES", 0)
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
         n = SAFE_P * SAFE_Q
         with pytest.raises(FactorizationTimeout) as info:
@@ -185,17 +188,61 @@ class TestFactorize:
         assert str(n) not in message
 
     def test_pm1_runs_before_rho(self, monkeypatch):
-        # 3 * 2^30 + 1 is prime and its p - 1 is smooth; no rho iteration
-        # is left to spend.
+        # 3 * 2^30 + 1 is prime and its p - 1 is smooth; no curve and no
+        # rho iteration is left to spend.
+        monkeypatch.setattr(arithmetic, "_ECM_CURVES", 0)
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
         assert factorize(DEEP_P * SAFE_Q).factors == ((DEEP_P, 1), (SAFE_Q, 1))
 
     def test_pm1_stage2_runs_before_rho(self, monkeypatch):
         # The order of 2 mod STAGE2_P has its one prime above 2^12 in stage
         # 2's range, and mod SAFE_Q a prime near 2^31: stage 2 splits n.
+        monkeypatch.setattr(arithmetic, "_ECM_CURVES", 0)
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
         n = STAGE2_P * SAFE_Q
         assert factorize(n).factors == ((STAGE2_P, 1), (SAFE_Q, 1))
+
+    def test_curves_split_what_pm1_leaves(self, monkeypatch):
+        # Neither p - 1 stage splits n (test_rho_timeout); the curves do,
+        # with no rho iteration left to spend.
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
+        assert factorize(SAFE_P * SAFE_Q).factors == ((SAFE_P, 1), (SAFE_Q, 1))
+
+    def test_curve_stage2_splits(self, monkeypatch):
+        # The first curve that splits SAFE_P * SAFE_Q, sigma = 19, does so
+        # in stage 2: stage 1 alone finds nothing.
+        n = SAFE_P * SAFE_Q
+        assert [arithmetic._ecm_curve(n, s) for s in range(6, 20)] == [None] * 13 + [SAFE_Q]
+        monkeypatch.setattr(arithmetic, "_ecm_stage2", lambda *args: None)
+        assert arithmetic._ecm_curve(n, 19) is None
+
+    def test_curves_on_a_prime_cube(self):
+        # A curve can meet the identity mod p, p^2 or p^3 at once: each
+        # answer is a proper divisor or None, never an exception.
+        p = 131101
+        n = p**3
+        assert is_prime(p) and n.bit_length() == 52
+        assert arithmetic._ecm_split(n) in (None, p, p * p)
+        for sigma in range(6, 6 + arithmetic._ECM_CURVES):
+            assert arithmetic._ecm_curve(n, sigma) in (None, p, p * p)
+        assert factorize(n).factors == ((p, 3),)
+
+    def test_curve_setup_not_invertible(self):
+        # At sigma = 6 the setup inverts 16 u^3 v^4 with u = 31, v = 24:
+        # a shared prime splits n, and a gcd of n skips the curve.
+        assert arithmetic._ecm_curve(31 * SAFE_P, 6) == 31
+        assert arithmetic._ecm_curve(3 * 31, 6) is None
+        assert arithmetic._ecm_curve(3 * 31 * SAFE_P, 6) == 3 * 31
+
+    @given(st.integers(4, 10**6), st.integers(6, 100))
+    def test_curve_returns_a_proper_divisor_or_none(self, m, sigma):
+        # Small odd composites with small primes, where curves collapse mod
+        # some or every prime at once.
+        n = 2 * m + 1
+        if is_prime(n):
+            n *= 3
+        g = arithmetic._ecm_curve(n, sigma)
+        assert g is None or (1 < g < n and n % g == 0)
 
     def test_pm1_stage2_whole_n_falls_to_rho(self):
         # Stage 2 reaches order 1 at both primes, so its gcd is n.
@@ -214,29 +261,32 @@ class TestFactorize:
         assert factorize(below).factors == ((131267, 1), (STAGE2_P, 1))
 
     def test_pm1_stage2_table(self):
-        # Each prime q in (2^12, 2^16) is kD - j or kD + j for one marked
+        # Each prime q in (bound, 2^16) is kD - j or kD + j for one marked
         # pair (k, j), and each marked pair names at least one such prime.
-        k0, k1, js, masks = arithmetic._pm1_stage2_table()
         step = arithmetic._PM1_STEP
-        covered = set()
-        for j, mask in zip(js, masks):
-            assert len(mask) == k1 - k0 + 1
-            for k in range(k0, k1 + 1):
-                pair = {k * step - j, k * step + j} & STAGE2_PRIMES
-                assert bool(mask[k - k0]) == bool(pair)
-                covered |= pair
-        assert covered == STAGE2_PRIMES
+        for bound in TABLE_BOUNDS:
+            stage2_primes = {q for q in primes_upto(2**16) if q > bound}
+            k0, k1, js, masks = arithmetic._pm1_stage2_table(bound)
+            covered = set()
+            for j, mask in zip(js, masks):
+                assert len(mask) == k1 - k0 + 1
+                for k in range(k0, k1 + 1):
+                    pair = {k * step - j, k * step + j} & stage2_primes
+                    assert bool(mask[k - k0]) == bool(pair)
+                    covered |= pair
+            assert covered == stage2_primes
 
     def test_pm1_stage2_table_is_small(self):
         arithmetic._small_prime_mask()
-        arithmetic._pm1_stage2_table.cache_clear()
-        tracemalloc.start()
-        try:
-            arithmetic._pm1_stage2_table()
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kept < 2**14 and peak < 2**18
+        for bound in TABLE_BOUNDS:
+            arithmetic._pm1_stage2_table.cache_clear()
+            tracemalloc.start()
+            try:
+                arithmetic._pm1_stage2_table(bound)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept < 2**14 and peak < 2**18
 
 
 def _odd_d_trial_division(n, bound):

@@ -169,7 +169,9 @@ class TestSemiprimeBits:
         assert "no quadratic nonresidue" in err
 
     def test_factorization_timeout_exits_1(self, capsys, monkeypatch):
-        # The product of two 32-bit safe primes needs rho, capped here.
+        # The product of two 32-bit safe primes needs rho once the curves
+        # are held off, capped here.
+        monkeypatch.setattr(arithmetic, "_ECM_CURVES", 0)
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1000)
         n = str(4294965887 * 4294967087)
         code, out, err = run(capsys, "semiprime-bits", "--n", n)

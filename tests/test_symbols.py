@@ -80,6 +80,22 @@ class TestDefinition:
         with pytest.raises(InvalidInput):
             call()
 
+    def test_refusal_reads_no_level_0_mask(self, monkeypatch):
+        # Level 0 of a unit is +1, so naming the failing level of 2 at 3
+        # builds no level-0 mask of p bytes.
+        keys = []
+        build = residuo.symbols.power_residues
+
+        def recording(*key):
+            keys.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(residuo.symbols, "power_residues", recording)
+        with pytest.raises(PreconditionViolated) as info:
+            symbol_definition(2, factorize(39), 3)
+        assert (info.value.prime, info.value.level) == (3, 1)
+        assert keys and (3, 0, True) not in keys
+
     def test_k1_is_legendre(self):
         for p in PRIMES_200:
             if p == 2:

@@ -90,12 +90,13 @@ def test_factorize_both_smooth(bits, seed):
     # Both orders of 2 divide the product of the last block, so its gcd is
     # all of n and the block is redone one prime power at a time; the
     # largest primes of p - 1 and q - 1 differ, so that splits n without
-    # rho.
+    # the curves or rho.
     rng = random.Random(seed)
     top_p, top_q = rng.sample([r for r in primes_upto(4095) if r > 2048], 2)
     p = _smooth_prime(rng, bits // 2, top_p)
     q = _smooth_prime(rng, bits - bits // 2, top_q)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arithmetic, "_ECM_CURVES", 0)
         patch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
         assert factorize(p * q).factors == _sympy_factors(p * q)
 
@@ -133,6 +134,8 @@ def test_factorize_stage2_semiprimes(bits, seed, smaller):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(40, 64), st.integers(0, 2**32))
 def test_factorize_neither_smooth(bits, seed):
+    # Both p - 1 stages leave n whole, so from 50 bits on the curves split
+    # it, and below that rho.
     rng = random.Random(seed)
     n = _safe_prime(rng, bits // 2) * _safe_prime(rng, bits - bits // 2)
     assert arithmetic._pm1_split(n) is None
