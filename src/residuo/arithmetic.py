@@ -10,10 +10,10 @@ sqrt(n)), each of the 17 built at most once. `factorize` splits what trial
 division leaves with Pollard's p - 1, then Lenstra's elliptic curves, before
 Brent's rho: p - 1 stage 1 always; p - 1 stage 2 and the curves on
 cofactors of 50 bits or more. The p - 1 stage-1 exponent comes from the
-same sieve in 11 blocks, each built at most once. Both stage 2s read their
+same sieve in 10 blocks, each built at most once. Both stage 2s read their
 primes from the same sieve as one table of baby-step/giant-step pairs per
-lower bound, built at most once: (2^12, 2^16) for p - 1 and (150, 2^16),
-read to 8000, for the curves.
+lower bound, built at most once and ending at the larger stage-2 bound:
+(2^11, 2^14] for p - 1 and (150, 2^14], read to 8000, for the curves.
 """
 
 import functools
@@ -56,14 +56,18 @@ _MR_EXTRA_ROUNDS = 64
 
 _RHO_ITERATION_CAP = 10**7
 
-# Stage 1 of the p - 1 split covers the primes below 2^_PM1_BITS = 4096,
+# Stage 1 of the p - 1 split covers the primes below 2^_PM1_BITS = 2048,
 # each to its largest power below that bound, except 2, which is raised to
 # 2^64: the reductions study primes p = 1 + c*2^v with a large v, and
-# nu_2(p - 1) < 64 for every p < 2^65.
-_PM1_BITS = 12
+# nu_2(p - 1) < 64 for every p < 2^65. Stage 2 covers the primes in
+# (2^_PM1_BITS, _PM1_B2]. Both bounds were measured best over 40-64-bit
+# semiprimes with the curves splitting what p - 1 leaves: a failed p - 1 is
+# cheaper at these bounds than the few curves that its larger bounds save.
+_PM1_BITS = 11
+_PM1_B2 = 1 << 14
 
-# Stage 2 of the p - 1 split takes each prime q in (2^_PM1_BITS, _SIEVE_LIMIT)
-# as kD - j or kD + j, with 0 < j < D/2 coprime to D = _PM1_STEP.
+# Stage 2 of the p - 1 split takes each prime q in its range as kD - j or
+# kD + j, with 0 < j < D/2 coprime to D = _PM1_STEP.
 _PM1_STEP = 210
 
 # Stage 2 and the elliptic-curve split run only on cofactors of at least
@@ -273,16 +277,17 @@ def _pm1_block(bits):
 @functools.cache
 def _pm1_stage2_table(bound):
     """The stage-2 table shared by the p - 1 and elliptic-curve splits, for
-    the primes in (bound, _SIEVE_LIMIT), D/2 <= bound: the giant steps k0..k1,
-    the baby steps j in (0, D/2) coprime to D, and for each j a byte mask
-    over the k that is 1 where kD - j or kD + j is such a prime. It is
-    sliced from the cached sieve, one stride per j: 24 masks of 293 bytes
-    for D = 210 and bound = 2^12."""
+    the primes in (bound, top], D/2 <= bound, where top = max(_PM1_B2,
+    _ECM_B2) is the larger stage 2's bound: the giant steps k0..k1, the
+    baby steps j in (0, D/2) coprime to D, and for each j a byte mask over
+    the k that is 1 where kD - j or kD + j is such a prime. Each stage reads
+    it from k0 to its own bound. It is sliced from the cached sieve, one
+    stride per j: 24 masks of 69 bytes for D = 210 and bound = 2^11."""
     step, half = _PM1_STEP, _PM1_STEP // 2
-    lo = bound + 1
-    k0, k1 = (lo + half) // step, (_SIEVE_LIMIT + half) // step
+    lo, top = bound + 1, max(_PM1_B2, _ECM_B2)
+    k0, k1 = (lo + half) // step, (top + half) // step
     # The primes of stage 2 alone, padded so every kD + j is an index.
-    primes = bytes(lo) + _small_prime_mask()[lo:] + bytes(step)
+    primes = bytes(lo) + _small_prime_mask()[lo : top + 1] + bytes(step)
     js = [j for j in range(1, half) if math.gcd(j, step) == 1]
     masks = []
     for j in js:
@@ -357,11 +362,12 @@ def _pm1_split(n):
     """Pollard's p - 1 with base 2: a nontrivial factor of odd composite n,
     or None. Stage 1 finds one when the order of 2 mod some prime of n
     divides the stage-1 exponent and mod some other prime does not, or
-    divides it from an earlier prime power on. Each block costs one pow
-    and one gcd; a block that reaches order 1 at every prime at once is
-    redone one prime power at a time. A stage 1 that ends with gcd 1 hands
-    its power of 2 to stage 2 (`_pm1_stage2`) when n has at least
-    _PM1_STAGE2_BITS bits, and gives None below that."""
+    divides it from an earlier prime power on. Stage 1 runs to 2^11 in 10
+    blocks; each costs one pow and one gcd, and a block that reaches order
+    1 at every prime at once is redone one prime power at a time. A stage 1
+    that ends with gcd 1 hands its power of 2 to stage 2 (`_pm1_stage2`,
+    to 2^14) when n has at least _PM1_STAGE2_BITS bits, and gives None
+    below that."""
     a = 2
     for bits in range(2, _PM1_BITS + 1):
         product, powers = _pm1_block(bits)
@@ -388,18 +394,19 @@ def _pm1_stage2(b, n):
     V_i = b^i + b^-i, V_kD - V_j = b^-kD (b^(kD-j) - 1)(b^(kD+j) - 1), so
     at a prime r of n it is 0 when the order of b mod r divides kD - j or
     kD + j (Montgomery's pairing). One product over the table's pairs and
-    one gcd thus test every stage-2 prime as that order: 4,670 pairs, one
-    multiplication each, for the 5,978 primes."""
-    table = k0, k1, _, _ = _pm1_stage2_table(1 << _PM1_BITS)
+    one gcd thus test every stage-2 prime, in (2^11, _PM1_B2], as that
+    order: 1,203 pairs, one multiplication each, for the 1,591 primes."""
+    table = k0, _, _, _ = _pm1_stage2_table(1 << _PM1_BITS)
     # V_{i+1} = V_1 V_i - V_{i-1} from V_0 = 2: the baby steps up to
-    # V_{D/2}, then V_D = V_{D/2}^2 - 2 and the giant steps V_kD.
+    # V_{D/2}, then V_D = V_{D/2}^2 - 2 and the giant steps V_kD up to
+    # kD <= _PM1_B2 + D/2.
     v1 = (b + pow(b, -1, n)) % n
     baby = [2, v1]
     while len(baby) <= _PM1_STEP // 2:
         baby.append((v1 * baby[-1] - baby[-2]) % n)
     vd = (baby[-1] * baby[-1] - 2) % n
     giant = [2, vd]
-    while len(giant) <= k1:
+    while len(giant) <= (_PM1_B2 + _PM1_STEP // 2) // _PM1_STEP:
         giant.append((vd * giant[-1] - giant[-2]) % n)
     return _stage2_gcd(n, table, baby, giant[k0:])
 
@@ -571,8 +578,8 @@ def factorize(n):
 
     Trial division strips the primes up to 10^4; every n below 10^8 ends
     there. Each composite cofactor left is split by Pollard's p - 1
-    (`_pm1_split`: stage 1 to 2^12, then, on a cofactor of 50 bits or more,
-    stage 2 over the primes up to 2^16); when that finds nothing, on a
+    (`_pm1_split`: stage 1 to 2^11, then, on a cofactor of 50 bits or more,
+    stage 2 over the primes up to 2^14); when that finds nothing, on a
     cofactor of 50 bits or more, by at most 40 elliptic curves
     (`_ecm_split`: stage 1 to 150, stage 2 to 8000); and when those find
     nothing, by Brent's rho. Rho raises FactorizationTimeout once the

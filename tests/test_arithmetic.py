@@ -134,12 +134,17 @@ class TestIsPrime:
 # Two 32-bit safe primes, (p - 1)/2 prime, and a prime with a smooth p - 1.
 SAFE_P, SAFE_Q = 4294965887, 4294967087
 DEEP_P = 3 * 2**30 + 1
-# Two 32-bit primes whose p - 1 has one prime above 2^12, in stage 2's
-# range below 2^16.
-STAGE2_P = 2 * 47 * 349 * 65521 + 1
-STAGE2_R = 4 * 5 * 11 * 149 * 65519 + 1
+# Two 32-bit primes whose p - 1 has one prime above 2^11, in stage 2's
+# range up to 2^14.
+STAGE2_P = 2 * 53 * 1237 * 16381 + 1
+STAGE2_R = 2 * 3 * 79 * 277 * 16369 + 1
+# A 32-bit prime whose p - 1 has one prime above stage 2's bound, below
+# 2^16, and a 16-bit prime whose p - 1 has one prime above stage 1's bound,
+# below 2^12.
+ABOVE_B2_P = 2 * 47 * 349 * 65521 + 1
+ABOVE_B1_P = 4 * 3 * 4093 + 1
 # Each stage-2 table's lower bound: the p - 1 split's and the curves'.
-TABLE_BOUNDS = (2**12, arithmetic._ECM_B1)
+TABLE_BOUNDS = (1 << arithmetic._PM1_BITS, arithmetic._ECM_B1)
 
 
 class TestFactorize:
@@ -147,7 +152,12 @@ class TestFactorize:
         for p in (SAFE_P, SAFE_Q):
             assert is_prime(p) and is_prime((p - 1) // 2)
         assert is_prime(DEEP_P)
-        for p, q in ((STAGE2_P, 65521), (STAGE2_R, 65519)):
+        for p, q in (
+            (STAGE2_P, 16381),
+            (STAGE2_R, 16369),
+            (ABOVE_B2_P, 65521),
+            (ABOVE_B1_P, 4093),
+        ):
             assert is_prime(p) and is_prime(q)
             # q divides the order of 2 mod p, so stage 1 cannot reach it.
             assert pow(2, (p - 1) // q, p) != 1
@@ -195,7 +205,7 @@ class TestFactorize:
         assert factorize(DEEP_P * SAFE_Q).factors == ((DEEP_P, 1), (SAFE_Q, 1))
 
     def test_pm1_stage2_runs_before_rho(self, monkeypatch):
-        # The order of 2 mod STAGE2_P has its one prime above 2^12 in stage
+        # The order of 2 mod STAGE2_P has its one prime above 2^11 in stage
         # 2's range, and mod SAFE_Q a prime near 2^31: stage 2 splits n.
         monkeypatch.setattr(arithmetic, "_ECM_CURVES", 0)
         monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
@@ -246,9 +256,11 @@ class TestFactorize:
 
     def test_pm1_stage2_whole_n_falls_to_rho(self):
         # Stage 2 reaches order 1 at both primes, so its gcd is n.
+        for q in (16381, 16369):
+            assert 1 << arithmetic._PM1_BITS < q <= arithmetic._PM1_B2
         n = STAGE2_P * STAGE2_R
         assert arithmetic._pm1_split(n) is None
-        assert factorize(n).factors == ((STAGE2_R, 1), (STAGE2_P, 1))
+        assert factorize(n).factors == ((STAGE2_P, 1), (STAGE2_R, 1))
 
     def test_pm1_stage2_only_from_50_bits(self):
         # 131267 and 262643 are safe primes of 18 and 19 bits: the order of
@@ -260,13 +272,35 @@ class TestFactorize:
         assert arithmetic._pm1_split(at) == STAGE2_P
         assert factorize(below).factors == ((131267, 1), (STAGE2_P, 1))
 
+    def test_pm1_stage2_stops_at_its_bound(self, monkeypatch):
+        # The order of 2 mod ABOVE_B2_P has its one prime above 2^14, past
+        # stage 2's bound, so p - 1 leaves n whole and the curves split it,
+        # with no rho iteration left to spend.
+        n = ABOVE_B2_P * SAFE_Q
+        assert n.bit_length() >= arithmetic._PM1_STAGE2_BITS
+        assert arithmetic._pm1_split(n) is None
+        monkeypatch.setattr(arithmetic, "_RHO_ITERATION_CAP", 1)
+        assert factorize(n).factors == ((ABOVE_B2_P, 1), (SAFE_Q, 1))
+
+    def test_pm1_stage1_stops_at_its_bound(self):
+        # The order of 2 mod ABOVE_B1_P has its one prime above 2^11, past
+        # stage 1's bound, and n is too small for stage 2.
+        n = ABOVE_B1_P * SAFE_P
+        assert n.bit_length() < arithmetic._PM1_STAGE2_BITS
+        assert arithmetic._pm1_split(n) is None
+        assert factorize(n).factors == ((ABOVE_B1_P, 1), (SAFE_P, 1))
+
     def test_pm1_stage2_table(self):
-        # Each prime q in (bound, 2^16) is kD - j or kD + j for one marked
-        # pair (k, j), and each marked pair names at least one such prime.
+        # Each prime q in (bound, top], top the larger of the two stage-2
+        # bounds, is kD - j or kD + j for one marked pair (k, j), and each
+        # marked pair names at least one such prime. The last giant step is
+        # the one that reaches top, so no k past both bounds is built.
         step = arithmetic._PM1_STEP
+        top = max(arithmetic._PM1_B2, arithmetic._ECM_B2)
         for bound in TABLE_BOUNDS:
-            stage2_primes = {q for q in primes_upto(2**16) if q > bound}
+            stage2_primes = {q for q in primes_upto(top) if q > bound}
             k0, k1, js, masks = arithmetic._pm1_stage2_table(bound)
+            assert k1 == (top + step // 2) // step
             covered = set()
             for j, mask in zip(js, masks):
                 assert len(mask) == k1 - k0 + 1
@@ -286,7 +320,7 @@ class TestFactorize:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert kept < 2**14 and peak < 2**18
+            assert kept < 2**13 and peak < 2**16
 
 
 def _odd_d_trial_division(n, bound):

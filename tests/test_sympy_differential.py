@@ -57,9 +57,9 @@ def test_deep_prime_redraws_a_valuation_without_primes():
 
 
 def _smooth_prime(rng, bits, top):
-    # p - 1 = 2 * top * (primes below 2^11): every prime of p - 1 lies
-    # below stage 1's bound 4096, the largest at top in [2^11, 2^12).
-    small = primes_upto(2047)
+    # p - 1 = 2 * top * (primes below 2^10): every prime of p - 1 lies
+    # below stage 1's bound 2048, the largest at top in [2^10, 2^11).
+    small = primes_upto(1023)
     while True:
         m = 2 * top
         while m.bit_length() < bits - 1:
@@ -92,7 +92,7 @@ def test_factorize_both_smooth(bits, seed):
     # largest primes of p - 1 and q - 1 differ, so that splits n without
     # the curves or rho.
     rng = random.Random(seed)
-    top_p, top_q = rng.sample([r for r in primes_upto(4095) if r > 2048], 2)
+    top_p, top_q = rng.sample([r for r in primes_upto(2047) if r > 1024], 2)
     p = _smooth_prime(rng, bits // 2, top_p)
     q = _smooth_prime(rng, bits - bits // 2, top_q)
     with pytest.MonkeyPatch.context() as patch:
@@ -102,11 +102,11 @@ def test_factorize_both_smooth(bits, seed):
 
 
 def _stage2_prime(rng, bits):
-    # p - 1 = 2 * top * (primes below 2^11) with top a prime in (2^12, 2^16),
+    # p - 1 = 2 * top * (primes below 2^11) with top a prime in (2^11, 2^14],
     # the range of the p - 1 split's stage 2; each further prime has at
     # most as many bits as p - 1 still lacks.
     small = primes_upto(2047)
-    tops = [r for r in primes_upto(2**16) if r > 2**12]
+    tops = [r for r in primes_upto(2**14) if r > 2**11]
     while True:
         m = 2 * rng.choice(tops)
         while m.bit_length() < bits - 1:
