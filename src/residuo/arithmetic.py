@@ -16,6 +16,7 @@ lower bound, built at most once and ending at the larger stage-2 bound:
 (2^11, 2^14] for p - 1 and (150, 2^14], read to 8000, for the curves.
 """
 
+import bisect
 import functools
 import math
 import random
@@ -298,18 +299,28 @@ def _pm1_stage2_table(bound):
     return k0, k1, tuple(js), tuple(masks)
 
 
-def primes_upto(bound):
-    """All primes p <= bound, ascending.
+@functools.cache
+def _primes_below(bits):
+    """The primes below 2^bits, bits <= 16, as a tuple read off the cached
+    sieve once per bits."""
+    return tuple(compress(range(1 << bits), _small_prime_mask()))
 
-    Bounds below 2^16 read the cached sieve; a larger bound sieves afresh
-    and keeps nothing. A bound above 2^22 raises SearchSpaceTooLarge.
+
+def primes_upto(bound):
+    """All primes p <= bound, ascending, in a new list.
+
+    Bounds below 2^16 are a slice of the cached primes below
+    2^bound.bit_length(); a larger bound sieves afresh and keeps nothing. A
+    bound above 2^22 raises SearchSpaceTooLarge.
     """
     if bound > _SIEVE_CEILING:
         raise SearchSpaceTooLarge(f"bound = {digits(bound)} exceeds the sieve ceiling")
     if bound < 2:
         return []
-    mask = _small_prime_mask() if bound < _SIEVE_LIMIT else _prime_mask(bound)
-    return list(compress(range(bound + 1), mask))
+    if bound < _SIEVE_LIMIT:
+        primes = _primes_below(bound.bit_length())
+        return list(primes[: bisect.bisect_right(primes, bound)])
+    return list(compress(range(bound + 1), _prime_mask(bound)))
 
 
 def trial_division(n, bound):

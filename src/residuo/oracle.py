@@ -3,14 +3,14 @@ residue symbol queries (m|n)_{2^k}, with call accounting.
 
 Every route shares one contract, kept by `CrsOracle.crs_query`: k >= 1,
 n >= 2 and gcd(m, n) = 1 are checked before a query is counted, n is
-factorized once per oracle and cached (the public `factorization(n)`,
-which the reductions also read to refuse a modulus outside their promise
-without spending a query; the last `FACTORIZATIONS_KEPT` computed ones are
-kept, and a `known=` one, prime-valid since it was built, is never
-factorized), and a query whose level-(k-1) symbol is -1 at some prime of
-n raises `PreconditionViolated` with `prime` set to that prime of n and
-`level` (<= k-1) to the lowest level at which m is not a 2^level-th power
-residue mod `prime`.
+factorized once per oracle and cached beside the route's evaluator at n
+(the public `factorization(n)`, which the reductions also read to refuse a
+modulus outside their promise without spending a query; the last
+`FACTORIZATIONS_KEPT` computed entries are kept, and a `known=` one,
+prime-valid since it was built, is never factorized), and a query whose
+level-(k-1) symbol is -1 at some prime of n raises `PreconditionViolated`
+with `prime` set to that prime of n and `level` (<= k-1) to the lowest
+level at which m is not a 2^level-th power residue mod `prime`.
 
 The routes differ only in how a well-posed query is evaluated, each one
 function `route(m, fact, k)` of m mod n, n's factorization and k: the
@@ -23,13 +23,15 @@ Euler criterion at each prime otherwise), the definition oracle's
 cross-check), and the Zolotarev oracle's `zolotarev_symbol` (permutation
 signs at prime and semiprime n).
 
-A query whose factorization is cached reads it with one dict lookup, and
-its count costs one lock acquire and release around one `Counter` update.
-On a 53-bit odd semiprime whose primes are 1 mod 4, a factor-oracle query
-takes about 1.4 us at level 1, and at level 2 1.6-1.9 us for Lemma L4's
-a^2 with a small, against 4.4 us for a square that is no integer square, of
-which the two Euler powers are about 3 us; the count is about 0.25 us of
-each (2-vCPU Xeon, Python 3.11.7).
+A query whose entry is cached reads it with one dict lookup, and its
+count costs one lock acquire and release around one `Counter` update; the
+factor route's evaluator then reads n's odd part and n1 from the entry, not
+from the factor list, and takes no second gcd.  On a 53-bit odd semiprime
+whose primes are 1 mod 4, a factor-oracle query takes about 1.1 us at
+level 1 and 1.2 us at level 2 for Lemma L4's a^2 with a small, against
+about 5 us for a square that is no integer square, of which the two Euler
+powers are about 3.5 us; the count is about 0.3 us of each (2-vCPU Xeon,
+Python 3.11.7).
 """
 
 import math
@@ -42,6 +44,11 @@ from .symbols import ENUMERATION_LIMIT, symbol_composite, symbol_definition
 from .zolotarev import zolotarev_symbol
 
 FACTORIZATIONS_KEPT = 4096
+
+# The routes whose evaluator at n is built by the route's own `at(fact)`,
+# keyed by the function itself: a route swapped in, even one that wraps
+# these, is called per query as it is.
+_BUILT_ONCE = {symbol_composite: symbol_composite.at}
 
 
 class OracleStats:
@@ -87,14 +94,18 @@ class OracleStats:
 
 
 class CrsOracle:
-    """Validates queries, keeps stats and the factorization cache, and
+    """Validates queries, keeps stats and one cache entry per modulus, and
     delegates evaluation to the subclass's `route(m % n, fact, k)`.
 
-    `known` entries must be `Factorization`s, prime-valid since they were
-    built, and are kept for the oracle's life, keyed by their `value`.
-    Computed ones are kept up to `FACTORIZATIONS_KEPT`, the oldest dropped
-    first, so a stream of fresh moduli holds bounded memory while no known
-    one is ever factorized.
+    An entry holds n's factorization and the route's evaluate(m, k) at n,
+    built once from it: for the factor route `symbol_composite.at(fact)`,
+    which reads n's parts once, and for any other route, swapped or
+    subclassed ones too, a call of `route(m, fact, k)`.  `known` entries
+    must be `Factorization`s, prime-valid since they were built; they are
+    kept for the oracle's life, keyed by their `value`, and their evaluator
+    is built on first use.  Computed ones are kept up to
+    `FACTORIZATIONS_KEPT`, the oldest dropped first, so a stream of fresh
+    moduli holds bounded memory while no known one is ever factorized.
     """
 
     def __init__(self, known=None):
@@ -107,7 +118,7 @@ class CrsOracle:
                 raise InvalidInput(
                     f"known= takes Factorization entries, got {type(fact).__name__}"
                 )
-            self._known[fact.value] = fact
+            self._known[fact.value] = (fact, None)
 
     def crs_query(self, m, n, k):
         if k < 1:
@@ -123,19 +134,30 @@ class CrsOracle:
             self.stats.calls_by_k[k] += 1
         finally:
             self._lock.release()
-        return self.route(m % n, self._cache.get(n) or self.factorization(n), k)
+        return (self._cache.get(n) or self._entry(n))[1](m % n, k)
 
     def factorization(self, n):
         """The cached prime factorization of n; computing it counts no
         query."""
-        fact = self._cache.get(n) or self._known.get(n)
-        if fact is None:
-            fact = factorize(n)
-            with self._lock:
-                if len(self._cache) >= FACTORIZATIONS_KEPT:
-                    del self._cache[next(iter(self._cache))]
-                self._cache[n] = fact
-        return fact
+        return (self._cache.get(n) or self._entry(n))[0]
+
+    def _entry(self, n):
+        # n's (factorization, evaluator) on a miss of the computed cache.
+        known = self._known.get(n)
+        if known and known[1]:
+            return known
+        fact = known[0] if known else factorize(n)
+        route = self.route
+        at = _BUILT_ONCE.get(route)
+        entry = (fact, at(fact) if at else lambda m, k: route(m, fact, k))
+        if known:
+            self._known[n] = entry
+            return entry
+        with self._lock:
+            if len(self._cache) >= FACTORIZATIONS_KEPT:
+                del self._cache[next(iter(self._cache))]
+            self._cache[n] = entry
+        return entry
 
 
 class FactorOracle(CrsOracle):
@@ -160,12 +182,12 @@ class ZolotarevOracle(CrsOracle):
 
     route = staticmethod(zolotarev_symbol)
 
-    def factorization(self, n):
+    def _entry(self, n):
         # The limit comes first, so no n beyond it is ever factorized, not
         # even by a reduction's promise check.
         if n > ENUMERATION_LIMIT:
             raise SearchSpaceTooLarge(f"n = {digits(n)} exceeds enumeration limit")
-        return super().factorization(n)
+        return super()._entry(n)
 
 
 # perfbench/worker.py and perfbench/spans.py build their oracles by these

@@ -9,9 +9,11 @@ a = s^2 mod n is one Jacobi symbol too, (s|n1) for n1 the part of n at the
 primes 1 mod 4: there (s^2)^((p-1)/4) = s^((p-1)/2), and at 2 and at the
 primes 3 mod 4 level 2 reads a lower level, where a square is +1.  That
 makes Lemma L4's (a^2|N)_4, a below sqrt(N), as cheap as its (a|N)_2.
-Every other query costs one power per prime and about 0.1 us besides, and
-`symbol_composite` adds about 0.5 us per call for its gcd and the loop
-(2-vCPU Xeon, Python 3.11.7).
+Every other query costs one power per prime and about 0.1 us besides.
+`symbol_composite` adds about 1 us per call for its gcd and k checks and
+for reading n's odd part and n1 off the factor list; the factor oracle
+reads those once per modulus, and its evaluator adds under 0.1 us to a
+level-1 Jacobi symbol (2-vCPU Xeon, Python 3.11.7).
 
 The residue sets behind the definition route are cached byte masks, built
 by the shape of n (see `power_residues`): at an odd prime, found by a
@@ -198,8 +200,16 @@ def symbol_prime_definition(a, p, k):
     """(a|p)_{2^k} straight from the definition: +1 iff x^(2^k) = a mod p
     is solvable, decided by exhaustive enumeration.
 
-    This is the brute-force oracle every faster path is tested against.
+    This is the brute-force oracle every faster path is tested against.  A
+    p that is not prime is refused with `InvalidInput` before any mask is
+    read; the routes call the unchecked body.
     """
+    if not is_prime(p):
+        raise InvalidInput(f"p = {digits(p)} is not prime")
+    return _symbol_prime_definition(a, p, k)
+
+
+def _symbol_prime_definition(a, p, k):
     mask = power_residues(p, k, True)
     if a % p == 0:
         raise NotCoprime(f"p = {digits(p)} divides a = {digits(a)}")
@@ -215,42 +225,72 @@ def symbol_prime_checked(a, p, k):
     is then +1; anything else is a violation, reported at the lowest level
     where the symbol is -1.  Levels above v equal level v.
 
-    The answer comes first: at k >= 1 and p >= 2, nu_2(p-1), that one
-    power and two compares answer every well-posed query, about 0.1 us
-    over the power itself (2-vCPU Xeon, Python 3.11.7).  An r of 1 or -1
-    shows p does not divide a, so only a query they leave unanswered meets
-    the argument checks, in their order (p >= 1, p not dividing a, k = 0
-    answered +1, k >= 1), and then the search for the violated level.
-
-    p must be prime.  Every route passes only the primes of a
-    `Factorization`, each tested once when it was built.  No primality test
-    runs here, since it would cost every query: a composite p passed in
-    directly can get an answer that means nothing, and only one that shows
-    no such level is refused with `InvalidInput`.
+    A p that is not prime is refused first, with `InvalidInput`, by one
+    primality test.  The routes pass only the primes of a `Factorization`,
+    each tested once when it was built, to the unchecked body, so no query
+    pays that test.  In the body the answer comes first: at k >= 1 and
+    p >= 2, nu_2(p-1), that one power and two compares answer every
+    well-posed query, about 0.1 us over the power itself (2-vCPU Xeon,
+    Python 3.11.7).  An r of 1 or -1 shows p does not divide a, so only a
+    query they leave unanswered meets the argument checks, in their order
+    (p not dividing a, k = 0 answered +1, k >= 1), and then the search for
+    the violated level.
     """
-    if k > 0 and p > 1:
+    if not is_prime(p):
+        raise InvalidInput(f"p = {digits(p)} is not prime")
+    return _symbol_prime_checked(a, p, k)
+
+
+def _symbol_prime_checked(a, p, k):
+    if k > 0:
         v = ((p - 1) & (1 - p)).bit_length() - 1  # nu_2(p - 1)
         r = pow(a, (p - 1) >> (k if k < v else v), p)
         if r == 1:
             return 1
         if r == p - 1 and k <= v:
             return -1
-    if p < 1:
-        raise InvalidInput(f"p must be >= 1, got {digits(p)}")
     if a % p == 0:
         raise NotCoprime(f"p = {digits(p)} divides a = {digits(a)}")
     if k == 0:
         return 1
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {digits(k)}")
-    # Here k >= 1 and p >= 2 (p = 1 divides every a), so the power above
-    # ran and answered neither +1 nor -1.
-    level = next((j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1), None)
-    if level is None:
-        raise InvalidInput(f"p = {digits(p)} is not prime")
+    # Here k >= 1, and the power above answered neither +1 nor -1, so at a
+    # prime p some level below k is -1.
+    level = next(j for j in range(1, k) if pow(a, (p - 1) >> j, p) != 1)
     raise PreconditionViolated(
         f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
     )
+
+
+def _composite_at(n_fact):
+    """`symbol_composite` at one n, as a function evaluate(a, k) of a unit
+    a mod n, 0 <= a < n, and k >= 1, which the caller has checked: n's odd
+    part and n1 are read off `n_fact` once, not per query."""
+    factors, n = n_fact
+    odd = n // (n & -n)
+    n1 = 1
+    for p, e in factors:
+        if p & 3 == 1:
+            n1 *= p**e
+
+    def evaluate(a, k):
+        if k == 1:
+            return jacobi(a, odd)
+        if k == 2:
+            s = math.isqrt(a)
+            if s * s == a:
+                return jacobi(s, n1)
+        result = 1
+        for p, e in factors:
+            # Checked at even multiplicity too: the precondition must hold
+            # there for the composite symbol to be well defined.
+            sign = _symbol_prime_checked(a, p, k)
+            if e & 1:
+                result *= sign
+        return result
+
+    return evaluate
 
 
 def symbol_composite(a, n_fact: Factorization, k):
@@ -265,31 +305,19 @@ def symbol_composite(a, n_fact: Factorization, k):
     (s^2)^((p-1)/4) = s^((p-1)/2) = (s|p), and at p = 2 and p = 3 mod 4
     level 2 equals a lower level, where a square is +1.  A unit square
     meets every precondition, so no refusal is skipped.  Every other query
-    evaluates `symbol_prime_checked` at each prime."""
+    evaluates the Euler criterion at each prime.
+
+    `symbol_composite.at(n_fact)` is the evaluation after these checks,
+    built once per n: the factor oracle keeps one per modulus."""
     n = n_fact.value
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({digits(a)}, {digits(n)}) > 1")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {digits(k)}")
-    if k == 1:
-        return jacobi(a, n // (n & -n))
-    if k == 2:
-        m = a % n
-        s = math.isqrt(m)
-        if s * s == m:
-            n1 = 1
-            for p, e in n_fact.factors:
-                if p & 3 == 1:
-                    n1 *= p**e
-            return jacobi(s, n1)
-    result = 1
-    for p, e in n_fact.factors:
-        # Checked at even multiplicity too: the precondition must hold there
-        # for the composite symbol to be well defined.
-        sign = symbol_prime_checked(a, p, k)
-        if e & 1:
-            result *= sign
-    return result
+    return _composite_at(n_fact)(a % n, k)
+
+
+symbol_composite.at = _composite_at
 
 
 def symbol_definition(a, n_fact: Factorization, k):
@@ -307,11 +335,11 @@ def symbol_definition(a, n_fact: Factorization, k):
     for p, e in n_fact.factors:
         # Checked at even multiplicity too, as symbol_composite does.  Level
         # 0 of a unit is +1, so the search for the failing level starts at 1.
-        if symbol_prime_definition(a, p, k - 1) != 1:
-            level = next(j for j in range(1, k) if symbol_prime_definition(a, p, j) != 1)
+        if _symbol_prime_definition(a, p, k - 1) != 1:
+            level = next(j for j in range(1, k) if _symbol_prime_definition(a, p, j) != 1)
             raise PreconditionViolated(
                 f"(a|{digits(p)}) at level 2^{level} is -1", prime=p, level=level
             )
         if e % 2 == 1:
-            result *= symbol_prime_definition(a, p, k)
+            result *= _symbol_prime_definition(a, p, k)
     return result

@@ -488,7 +488,35 @@ class TestTrialDivision:
         assert arithmetic._primorial.cache_info().currsize <= 17
 
 
+def _sieved(top):
+    # Every prime <= top by a plain sieve of Eratosthenes.
+    flags = bytearray([1]) * (top + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    return [n for n in range(top + 1) if flags[n]]
+
+
 class TestPrimesUpto:
+    def test_matches_a_sieve_at_every_bit_length(self):
+        reference = _sieved(2**16 + 1)
+        bounds = [*range(301), 2**16 - 1, 2**16 + 1]
+        bounds += [2**j + d for j in range(17) for d in (-1, 0, 1)]
+        for b in bounds:
+            assert primes_upto(b) == [p for p in reference if p <= b], b
+        # One cached tuple per bit length of a bound below 2^16.
+        assert arithmetic._primes_below.cache_info().currsize <= 16
+
+    def test_a_returned_list_is_the_callers_own(self):
+        for b in (100, 2**16 - 1):
+            expected = primes_upto(b)
+            mutated = primes_upto(b)
+            mutated[0] = 0
+            mutated.append(-1)
+            del mutated[1:5]
+            assert primes_upto(b) == expected
+
     def test_small_bounds(self):
         reference = [p for p in range(3000) if is_prime(p)]
         for b in range(-2, 3000):

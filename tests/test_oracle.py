@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import sys
 import threading
 from collections import Counter
 
@@ -10,6 +12,7 @@ import residuo.symbols
 import residuo.zolotarev
 from residuo.arithmetic import Factorization, factorize, is_prime, jacobi
 from residuo.errors import (
+    FactorizationTimeout,
     InvalidInput,
     NotAdmissibleModulus,
     NotCoprime,
@@ -157,6 +160,116 @@ class TestFactorizationCache:
         assert oracle.factorization(p * q) is fact
         assert p * q not in seen
         assert oracle.crs_query(4, p * q, 1) == 1
+
+
+class TestEvaluatorCache:
+    # Each oracle keeps one entry per modulus: its factorization and the
+    # route's evaluator at it, built once.
+
+    def test_computed_entries_capped_and_evicted_modulus_answers_as_before(self):
+        oracle = FactorOracle()
+        answers = [oracle.crs_query(4, 39, 2), oracle.crs_query(10, 39, 1)]
+        assert answers == [-1, 1]
+        for n in range(40, 40 + FACTORIZATIONS_KEPT):
+            oracle.factorization(n)
+        assert len(oracle._cache) <= FACTORIZATIONS_KEPT
+        assert 39 not in oracle._cache
+        assert [oracle.crs_query(4, 39, 2), oracle.crs_query(10, 39, 1)] == answers
+        assert len(oracle._cache) <= FACTORIZATIONS_KEPT
+
+    def test_known_modulus_never_factorized_and_evaluator_built_on_first_use(
+        self, monkeypatch
+    ):
+        def refuse(n):
+            raise AssertionError(f"factorized {n}")
+
+        built = []
+        at = oracle_module._BUILT_ONCE[symbol_composite]
+
+        def counting_at(fact):
+            built.append(fact.value)
+            return at(fact)
+
+        monkeypatch.setattr(oracle_module, "factorize", refuse)
+        monkeypatch.setitem(oracle_module._BUILT_ONCE, symbol_composite, counting_at)
+        fact = Factorization(((5, 1), (13, 1)))
+        oracle = FactorOracle(known=[fact])
+        assert built == []
+        for _ in range(3):
+            assert oracle.crs_query(4, 65, 2) == 1
+            assert oracle.crs_query(2, 65, 1) == jacobi(2, 65)
+        assert oracle.factorization(65) is fact
+        assert built == [65]
+        assert oracle.stats.calls_total == 6
+
+    def test_subclass_with_only_a_route_answers_every_query_through_it(self):
+        routed = []
+
+        def counted(m, fact, k):
+            routed.append((m, fact.value, k))
+            return symbol_composite(m, fact, k)
+
+        # A wrapper that looks like symbol_composite is still called as is.
+        wrapped = functools.wraps(symbol_composite)(counted)
+
+        for route in (counted, wrapped):
+
+            class RouteOnly(oracle_module.CrsOracle):
+                pass
+
+            RouteOnly.route = staticmethod(route)
+            routed.clear()
+            oracle, reference = RouteOnly(), FactorOracle()
+            queries = [(m, n, k) for n in (39, 65, 1105) for m in (2, 4, 9, n + 16)
+                       for k in (1, 2, 3) if math.gcd(m, n) == 1]
+            for m, n, k in queries:
+                assert _outcome(oracle.crs_query, m, n, k) == _outcome(
+                    reference.crs_query, m, n, k
+                )
+            assert routed == [(m % n, n, k) for m, n, k in queries]
+            assert oracle.stats.calls_total == len(queries)
+
+    def test_query_whose_modulus_fails_to_factorize_still_counts(self, monkeypatch):
+        def fail(n):
+            raise FactorizationTimeout(f"no split of {n}")
+
+        oracle = FactorOracle()
+        monkeypatch.setattr(oracle_module, "factorize", fail)
+        with pytest.raises(FactorizationTimeout):
+            oracle.crs_query(2, 15, 1)
+        assert oracle.stats.calls_by_k == {1: 1}
+        assert 15 not in oracle._cache
+        monkeypatch.undo()
+        assert oracle.crs_query(2, 15, 1) == 1
+        assert oracle.stats.calls_by_k == {1: 2}
+
+    def test_threads_building_one_entry_count_every_query(self):
+        # All eight start on a modulus no entry holds yet.
+        oracle = FactorOracle()
+        start = threading.Barrier(8)
+        answers = [[] for _ in range(8)]
+
+        def worker(out):
+            start.wait()
+            for _ in range(200):
+                out.append(oracle.crs_query(4, 1105, 2))
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in answers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert oracle.stats.calls_total == 1600
+        expected = symbol_composite(4, factorize(1105), 2)
+        assert [len(out) for out in answers] == [200] * 8
+        assert {a for out in answers for a in out} == {expected}
+        assert list(oracle._cache) == [1105]
 
 
 class TestZolotarevOracle:

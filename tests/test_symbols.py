@@ -161,6 +161,38 @@ def test_every_odd_a_is_a_power_residue_mod_2(symbol, levels):
             assert symbol(a, 2, k) == 1
 
 
+class TestPrimeModulusRequired:
+    # Both public prime-level names test p once and refuse a composite; the
+    # routes call their unchecked bodies with the primes of a Factorization.
+    NAMES = [symbol_prime_checked, symbol_prime_definition]
+
+    @pytest.mark.parametrize("symbol", NAMES, ids=["checked", "definition"])
+    def test_every_odd_composite_below_400_refused(self, symbol):
+        # At 21 the Euler power of 8 is 8^10 = 1 mod 21, which read as +1
+        # where the Jacobi symbol (8|21) is -1.
+        for n in range(9, 400, 2):
+            if is_prime(n):
+                continue
+            refusal = (InvalidInput, f"p = {n} is not prime")
+            for a in range(1, n):
+                if math.gcd(a, n) == 1:
+                    for k in (1, 2):
+                        assert _outcome(symbol, a, n, k) == refusal, (a, n, k)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        p=st.sampled_from(PRIMES_200 + [257, 7681, 65537]),
+        a=st.integers(-(10**6), 10**6),
+        k=st.integers(-2, 8),
+    )
+    def test_public_and_private_bodies_agree_on_primes(self, p, a, k):
+        for public, body in (
+            (symbol_prime_checked, residuo.symbols._symbol_prime_checked),
+            (symbol_prime_definition, residuo.symbols._symbol_prime_definition),
+        ):
+            assert _outcome(public, a, p, k) == _outcome(body, a, p, k)
+
+
 class TestChecked:
     def test_examples(self):
         assert symbol_prime_checked(4, 13, 2) == -1
